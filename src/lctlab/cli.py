@@ -102,6 +102,20 @@ def parse_ideal(text: str, nvars: int) -> IdealGens:
     return IdealGens(nvars, gens)
 
 
+def _check_padic_args(args, budget: int):
+    """Usage errors of the p-adic commands: ``--p`` not prime, or a level
+    ``--m``, ``--k``, ``--mmax``, ``--e`` below 1.  A ``--p`` above the budget
+    is left to the command to refuse, which bounds the trial division."""
+    for name in ("m", "k", "mmax", "e"):
+        if getattr(args, name, 1) < 1:
+            raise ValueError(f"--{name} must be at least 1")
+    p = getattr(args, "p", None)
+    if p is None or p > budget:
+        return
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"--p must be a prime, got {p}")
+
+
 def _fmt(value):
     if isinstance(value, Fraction):
         return str(value)
@@ -684,6 +698,7 @@ def main(argv=None) -> int:
         print("usage error: budget must be positive", file=sys.stderr)
         return 2
     try:
+        _check_padic_args(args, config["budget"])
         results, ok = args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -38,11 +38,12 @@ from .jacobian import (
     membership_truncated,
     quadratic_form_matrix,
 )
-from .linalg import det_dense
+from .linalg import det_dense, solve_dense
 from .polyring import (
     Polynomial,
     TruncatedSeries,
     divided_power,
+    monomials_below,
     partial_derivative,
     series_inverse,
     series_sqrt,
@@ -166,13 +167,7 @@ class CoordinateMap:
         n, order = self.nvars, self.order
         lin = self.linear_part()
         # inverse of the linear part, solving L^T columns exactly
-        from .linalg import solve_dense
-
-        inv = []
-        for i in range(n):
-            rhs = [Fraction(1) if k == i else Fraction(0) for k in range(n)]
-            col = solve_dense([list(r) for r in lin], rhs)
-            inv.append(col)
+        inv = [solve_dense(lin, [int(k == i) for k in range(n)]) for i in range(n)]
         # linv[i][j]: coefficient of x_j in the i-th inverse image
         linv = [[inv[j][i] for j in range(n)] for i in range(n)]
 
@@ -254,27 +249,6 @@ def _neumann_inverse(E, order):
             break
         x = nxt
     return x
-
-
-def _enumerate_alpha(g_mults, budget):
-    """All nonzero exponent vectors alpha with sum(alpha_i * g_mults_i) < budget."""
-    n = len(g_mults)
-    out = []
-
-    def rec(i, alpha, cost):
-        if i == n:
-            if any(alpha):
-                out.append(tuple(alpha))
-            return
-        e = 0
-        while cost + e * g_mults[i] < budget:
-            alpha[i] = e
-            rec(i + 1, alpha, cost + e * g_mults[i])
-            e += 1
-        alpha[i] = 0
-
-    rec(0, [0] * n, 0)
-    return out
 
 
 class _GPowers:
@@ -387,7 +361,7 @@ def _tougeron_core(f_poly: Polynomial, H, order: int, check: bool = True):
         # whose two smallest indices are (i1, i2); then the new residual is
         # -sum W * g_i1 * g_i2.
         W = {}
-        for alpha in _enumerate_alpha(g_mults, wit_order + 2 * top):
+        for alpha in monomials_below(g_mults, wit_order + 2 * top):
             if sum(alpha) < 2:
                 continue
             support = [i for i, a in enumerate(alpha) for _ in range(min(a, 2))]
@@ -426,7 +400,7 @@ def _tougeron_core(f_poly: Polynomial, H, order: int, check: bool = True):
         # V[u][w] = sum over alpha with first index w of D^alpha(d_u F) g^(alpha-e_w)
         A = [[partial_derivative(gs[j], i + 1).truncate(wit_order) for j in range(n)] for i in range(n)]
         V = [[Polynomial.zero(n) for _ in range(n)] for _ in range(n)]
-        for alpha in _enumerate_alpha(g_mults, wit_order + top):
+        for alpha in monomials_below(g_mults, wit_order + top)[1:]:  # alpha != 0
             w_idx = next(i for i, a in enumerate(alpha) if a)
             rest = list(alpha)
             rest[w_idx] -= 1
@@ -491,6 +465,25 @@ def _tougeron_core(f_poly: Polynomial, H, order: int, check: bool = True):
     return psi
 
 
+def _witness_matrix(f: Polynomial, witness: MembershipWitness):
+    """H with ``sum H[i][j] * d_i f * d_j f`` the witnessed element of J_f^2.
+
+    ``ideal_product`` re-sorts and prunes products of monomials, so each
+    generator goes to the first unused pair (i, j), i <= j, it equals.
+    """
+    n = f.nvars
+    partials = [partial_derivative(f, i) for i in range(1, n + 1)]
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    products = [partials[i] * partials[j] for i, j in pairs]
+    H = _matrix_zero(n, n)
+    for gen, coeff in zip(witness.gens.gens, witness.coefficients):
+        k = products.index(gen)
+        products[k] = None
+        i, j = pairs[k]
+        H[i][j] = H[i][j] + coeff.poly
+    return H
+
+
 def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int, check: bool = True) -> CoordinateMap:
     """Coordinate change sending f to f + g mod m^order, for g in J_f^2.
 
@@ -505,19 +498,12 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int, check: boo
         raise ValueError(
             f"witness order {g_witness.order} is smaller than the requested order {order}"
         )
-    n = f.nvars
     jf2 = ideal_power(jacobian_ideal(f), 2)
     if [g.terms for g in g_witness.gens.gens] != [g.terms for g in jf2.gens]:
         raise ValueError("witness generators are not the Jacobian-square generators of f")
     if not g_witness.verify():
         raise ValueError("witness does not re-expand to its target")
-    H = _matrix_zero(n, n)
-    idx = 0
-    for i in range(n):
-        for j in range(i, n):
-            H[i][j] = H[i][j] + g_witness.coefficients[idx].poly
-            idx += 1
-    return _tougeron_core(f, H, order, check=check)
+    return _tougeron_core(f, _witness_matrix(f, g_witness), order, check=check)
 
 
 # ----------------------------------------------------------------------
@@ -859,14 +845,7 @@ def formal_equiv_rank2(
             raise AssertionError(
                 "residual perturbation unexpectedly not in the Jacobian square"
             )
-        m = len(rest_vars)
-        Hm = _matrix_zero(m, m)
-        idx = 0
-        for i in range(m):
-            for j in range(i, m):
-                Hm[i][j] = Hm[i][j] + wit.coefficients[idx].poly
-                idx += 1
-        theta = _tougeron_core(hq_sub, Hm, order, check=check)
+        theta = _tougeron_core(hq_sub, _witness_matrix(hq_sub, wit), order, check=check)
         images = [Polynomial.variable(n, i) for i in range(1, n + 1)]
         for pos, im in zip(rest_vars, theta.images):
             images[pos - 1] = _extend_vars(im.poly, n, rest_vars)

@@ -34,8 +34,6 @@ from .budget import check_budget
 from .jacobian import IdealGens, ideal_power, jacobian_ideal
 from .polyring import Polynomial
 
-_CHUNK_LIMIT = 1 << 22  # max cells per evaluation slab
-
 
 def _int_terms(f: Polynomial):
     terms = []
@@ -145,7 +143,8 @@ def residue_histogram(f: Polynomial, p: int, m: int, budget=None) -> ResidueHist
     if f.is_zero() or not any(any(mono) for mono in f.terms):
         raise ValueError("residue_histogram needs a nonconstant polynomial")
     hist = _histogram(f, p, m, budget)
-    assert hist.check_total()
+    if not hist.check_total():
+        raise AssertionError("residue histogram counts do not add up to p^(m n)")
     return hist
 
 

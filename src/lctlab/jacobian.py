@@ -2,12 +2,15 @@
 
 Ideals are plain generator lists.  Everything here reduces to exact linear
 algebra over the rationals on finite-dimensional truncations of the local
-ring at the origin:
+ring at the origin, done by the one elimination kernel
+:class:`~lctlab.linalg.SparseEliminator` on sparse rows keyed by monomials:
 
-* ``membership_truncated`` solves for series coefficients writing a target
-  as a combination of the generators modulo ``m^N`` and returns a witness
-  that re-expands exactly, or a definite failure at that order;
-* ``milnor_number`` computes the colength of the Jacobian ideal by
+* ``membership_truncated`` adds each generator times each monomial of low
+  enough degree as a tagged row, asks the kernel to solve for the target,
+  and returns the series coefficients as a witness that re-expands exactly
+  modulo ``m^N``, or a definite failure at that order;
+* ``milnor_number`` computes the colength of the Jacobian ideal, the
+  monomial count minus the kernel's rank on untagged rows, by
   increasing the truncation order until the quotient dimension stabilizes,
   which is permanent in the complete local ring (if no degree-N monomial is
   independent modulo the ideal, multiplying by the maximal ideal shows the
@@ -18,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Sequence
 
-from .linalg import SparseEliminator, rank_dense, solve_dense
+from .linalg import SparseEliminator, rank_dense
 from .polyring import (
     Polynomial,
     TruncatedSeries,
+    monomials_below,
     partial_derivative,
     poly_to_string,
 )
@@ -132,7 +135,7 @@ def ideal_product(a: IdealGens, b: IdealGens) -> IdealGens:
     """Pairwise products of generators.
 
     For a*a only the unordered pairs are kept, in lexicographic (i, j) order
-    with i <= j; downstream code relies on that ordering.
+    with i <= j, until all-monomial products are pruned and re-sorted.
     """
     if a.nvars != b.nvars:
         raise ValueError("nvars mismatch")
@@ -190,15 +193,6 @@ class NotMember:
     reason: str = ""
 
 
-def _monomials_below(nvars: int, order: int):
-    out = []
-    for mono in iter_product(*[range(order) for _ in range(nvars)]):
-        if sum(mono) < order:
-            out.append(mono)
-    out.sort(key=lambda m: (sum(m), tuple(-e for e in reversed(m))))
-    return out
-
-
 def membership_truncated(
     g: Polynomial,
     a: IdealGens,
@@ -218,50 +212,31 @@ def membership_truncated(
         raise ValueError("nvars mismatch")
     nvars = a.nvars
     target = g.truncate(order)
-    columns = []  # (gen index, shift monomial, shifted terms)
+    # columns are numbered in degree order, so pivot ties fall to the lowest degree
+    column = {m: k for k, m in enumerate(monomials_below((1,) * nvars, order))}
+    elim = SparseEliminator()
     for gi, gen in enumerate(a.gens):
         if gen.is_zero():
             continue
-        gmult = gen.multiplicity()
-        for mono in _monomials_below(nvars, max(order - gmult, 0)):
+        for mono in monomials_below((1,) * nvars, order - gen.multiplicity()):
             if sum(mono) < min_degree:
                 continue
             shifted = {}
             for m, c in gen.terms.items():
                 s = tuple(map(int.__add__, m, mono))
                 if sum(s) < order:
-                    shifted[s] = c
-            if shifted:
-                columns.append((gi, mono, shifted))
-    row_keys = sorted(
-        {m for _, _, sh in columns for m in sh} | set(target.terms),
-        key=lambda m: (sum(m), tuple(-e for e in reversed(m))),
-    )
-    row_index = {m: i for i, m in enumerate(row_keys)}
-    nrows, ncols = len(row_keys), len(columns)
-    rows = [[0] * ncols for _ in range(nrows)]
-    for j, (_, _, shifted) in enumerate(columns):
-        for m, c in shifted.items():
-            rows[row_index[m]][j] = c
-    rhs = [target.terms.get(m, 0) for m in row_keys]
-    if ncols == 0:
-        if target.is_zero():
-            coeffs = [TruncatedSeries.zero(nvars, order) for _ in a.gens]
-            return MembershipWitness(target, a, coeffs, order)
-        return NotMember(order, "no usable generator columns")
-    sol = solve_dense(rows, rhs)
+                    shifted[column[s]] = c
+            elim.add_row(shifted, tag=(gi, mono))
+    sol = elim.solve({column[m]: c for m, c in target.terms.items()})
     if sol is None:
         return NotMember(order, "linear system inconsistent at this order")
-    per_gen = {gi: {} for gi in range(len(a.gens))}
-    for (gi, mono, _), value in zip(columns, sol):
-        if value:
-            per_gen[gi][mono] = value
-    coeffs = [
-        TruncatedSeries(Polynomial(nvars, per_gen[gi]), order)
-        for gi in range(len(a.gens))
-    ]
+    per_gen = [{} for _ in a.gens]
+    for (gi, mono), value in sol.items():
+        per_gen[gi][mono] = value
+    coeffs = [TruncatedSeries(Polynomial(nvars, terms), order) for terms in per_gen]
     witness = MembershipWitness(target, a, coeffs, order)
-    assert witness.verify(), "membership witness failed to re-expand"
+    if not witness.verify():
+        raise AssertionError("membership witness failed to re-expand")
     return witness
 
 
@@ -320,9 +295,7 @@ def _colength(f: Polynomial, order: int) -> int:
     partials = [partial_derivative(f, i) for i in range(1, n + 1)]
     elim = SparseEliminator()
     nmons = 0
-    for mono in iter_product(*[range(order) for _ in range(n)]):
-        if sum(mono) >= order:
-            continue
+    for mono in monomials_below((1,) * n, order):
         nmons += 1
         for p in partials:
             if p.is_zero():

@@ -272,7 +272,8 @@ def lct_diag_fJ2(n: int, d: int) -> LctCertificate:
             "{0, d-2} exhaust the minimum"
         ),
     )
-    assert cert.check((n, d))
+    if not cert.check((n, d)):
+        raise AssertionError("diagonal threshold certificate failed its check")
     return cert
 
 
@@ -338,7 +339,8 @@ def lct_det_fJ2(n: int) -> LctCertificate:
             "partition"
         ),
     )
-    assert cert.check(None)
+    if not cert.check(None):
+        raise AssertionError("determinantal threshold certificate failed its check")
     return cert
 
 

@@ -434,6 +434,24 @@ def divided_power(f: Polynomial, alpha) -> Polynomial:
     return Polynomial(f.nvars, out)
 
 
+def monomials_below(weights, bound):
+    """Exponent vectors a with ``sum(w_i * a_i) < bound`` for positive integer
+    weights w, by total degree and within a degree in ``_grevlex_key`` order
+    (the exponent of the last variable falling first)."""
+    if not weights or min(weights) < 1:
+        raise ValueError("monomials_below needs at least one weight, all positive")
+    # reversed vectors with their weighted cost, built from the last variable
+    # with falling exponents, so a stable sort by degree completes the order
+    level = [((), 0)]
+    for w in reversed(weights):
+        level = [
+            (a + (e,), c + e * w) for a, c in level for e in range((bound - c - 1) // w, -1, -1)
+        ]
+    out = [a[::-1] for a, _ in level]
+    out.sort(key=sum)
+    return out
+
+
 def _image_list(images, nvars):
     out = []
     for im in images:

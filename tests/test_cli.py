@@ -184,3 +184,26 @@ def test_env_budget(capsys, monkeypatch):
         capsys, "jets", "count", "--ideal", "x1*x4-x2*x3", "--p", "5", "--m", "2", "--e", "1"
     )
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expsum", "--poly", "x^2", "--p", "4", "--m", "2"],
+        ["expsum", "--poly", "x^2", "--p", "7", "--m", "0"],
+        ["expsum", "--poly", "x^2", "--p", "1", "--m", "1"],
+        ["nk", "--poly", "x^2", "--p", "4", "--k", "2"],
+        ["nk", "--poly", "x^2", "--p", "5", "--k", "0"],
+        ["decay", "--poly", "x^2", "--p", "4", "--mmax", "2"],
+        ["decay", "--poly", "x^2", "--p", "5", "--mmax", "0"],
+        ["igusa-check", "--poly", "x^2", "--p", "4", "--m", "2"],
+        ["jets", "count", "--ideal", "x*y", "--p", "6", "--m", "1", "--e", "1"],
+        ["jets", "count", "--ideal", "x*y", "--p", "5", "--m", "0", "--e", "1"],
+        ["jets", "count", "--ideal", "x*y", "--p", "5", "--m", "1", "--e", "0"],
+    ],
+)
+def test_invalid_padic_input_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "usage error" in err
+    assert out == ""

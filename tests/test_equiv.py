@@ -193,6 +193,15 @@ def test_tougeron_cross_term():
     assert verify_map(f, target, psi, 10) == (True, None)
 
 
+def test_tougeron_three_variables_with_monomial_partials():
+    # the generators of J_f^2 are monomials here, which ideal_product lists
+    # in degree order rather than in (i, j) pair order
+    f = P("x^3 + y^3 + z^3", 3)
+    g = P("x^4*y^2 + x^2*y^2*z^2 + 3*x^2*z^4", 3)
+    psi = tougeron(f, jf2_witness(f, g, 8), 8)
+    assert verify_map(f, TruncatedSeries(f + g, 8), psi, 8) == (True, None)
+
+
 def test_tougeron_rejects_low_multiplicity_and_small_witness():
     f = P("x^2", 1)
     with pytest.raises(ValueError):

@@ -1,10 +1,14 @@
 """Ideals, membership witnesses, quadratic rank, Milnor numbers."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lctlab
 from lctlab.jacobian import (
     IdealGens,
     Inconclusive,
@@ -134,6 +138,23 @@ def test_membership_min_degree_constraint():
     assert isinstance(w, MembershipWitness) and w.verify()
     res = membership_truncated(P("x^2", 1), a, 8, min_degree=1)
     assert isinstance(res, NotMember)
+
+
+def test_membership_check_survives_optimized_mode():
+    # python -O strips assert statements; the witness check must still raise
+    script = (
+        "import lctlab.jacobian as J\n"
+        "from lctlab.polyring import parse_poly\n"
+        "J.MembershipWitness.verify = lambda self: False\n"
+        "try:\n"
+        "    J.membership_truncated(parse_poly('x^4', 1), J.IdealGens(1, [parse_poly('x^2', 1)]), 8)\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lctlab.__file__)))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert proc.returncode == 0
 
 
 def test_jacobian_stability_under_square_perturbation():
