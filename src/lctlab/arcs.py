@@ -1,13 +1,17 @@
-"""Jet enumeration over prime fields and contact-locus counting.
+"""Jet counting over prime fields and contact-locus counting.
 
 A jet of order m assigns to each of the n coordinates a polynomial of
 degree <= m in t with coefficients mod p; the contact order of an ideal
 along the jet is the t-adic order of its generators evaluated on the jet.
-Counts are exact integers from full enumeration with early pruning: the
-t^j coefficient of g(jet) only depends on the jet coefficients of degree
-<= j, so levels are fixed one t-degree at a time and a subtree dies as soon
-as a required coefficient is nonzero.  Once every required coefficient has
-been checked, the remaining levels are free and counted as a power of p.
+Counts are exact integers from a recursion over t-degree levels.  Level 0
+keeps the common zeros x0 of the s generators mod p.  At every level
+l >= 1 the t^l coefficient of g_i(jet) is J(x0) c_l + b_i, where J is the
+Jacobian mod p, c_l the t^l coefficients of the jet and b_i depends only on
+lower levels (Taylor expansion: c_l enters only through the linear term).
+So a constrained level is an affine system over F_p: where J has full row
+rank every level contributes p^(n-s) in closed form, and elsewhere only
+the solutions of the system are recursed into.  Levels at or above the
+contact order are free and counted as a power of p.
 
 The closed-form orbit invariants of the determinantal family live here too,
 since they are what the contact-locus counts get compared against.
@@ -19,9 +23,12 @@ import math
 from dataclasses import dataclass
 from itertools import product as iter_product
 
+import numpy as np
+
 from .budget import check_budget
+from .expsum import _eval_terms_mod, _int_terms, _residue_grids
 from .jacobian import IdealGens
-from .polyring import Polynomial
+from .polyring import Polynomial, partial_derivative
 
 
 @dataclass(frozen=True)
@@ -125,16 +132,39 @@ def _poly_eval_jet(poly: Polynomial, coords, p: int, length: int):
     return out
 
 
+def _rref_mod_p(rows, ncols, p):
+    """Reduced row echelon form over F_p, pivoting in the first ncols
+    columns only; returns (rows, pivot columns)."""
+    rows = [[v % p for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [v * inv % p for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                c = row[col]
+                rows[i] = [(a - c * b) % p for a, b in zip(row, rows[r])]
+        pivots.append(col)
+    return rows, pivots
+
+
 def count_contact_jets(
     gens: IdealGens, p: int, m: int, e: int, budget=None
 ) -> int:
     """Number of order-m jets along which every generator vanishes to order
     >= e in t, over the field with p elements.  Exact.
 
-    Requires e <= m + 1 and integer generator coefficients.  Enumeration is
-    organized by t-degree level with pruning (see module docstring), so the
-    worst case p^((m+1)n) is only reached for fully constrained ideals; the
-    budget guards that worst case.
+    Requires e <= m + 1 and integer generator coefficients.  The count
+    recurses over t-degree levels (see module docstring): level 0 keeps the
+    zeros of the generators mod p, a zero where their Jacobian has full row
+    rank is counted in closed form, and elsewhere each constrained level
+    descends only into the solutions of a linear system over F_p.  The
+    budget guards the volume p^((m+1)n) of the jet space.
     """
     n = gens.nvars
     if e < 0 or e > m + 1:
@@ -148,31 +178,74 @@ def count_contact_jets(
         return p ** ((m + 1) * n)
 
     polys = list(gens.gens)
+    s = len(polys)
+    free = p ** (n * (m + 1 - e))  # levels e..m are unconstrained
+    grids = _residue_grids(n, p)
+    shape = (p,) * n
+    zero = np.ones(shape, dtype=bool)
+    jac = []
+    for g in polys:
+        terms = _int_terms(g)
+        zero &= np.broadcast_to(_eval_terms_mod(terms, grids, p), shape) == 0
+        jac.append([
+            np.broadcast_to(
+                _eval_terms_mod(_int_terms(partial_derivative(g, j)), grids, p), shape
+            )
+            for j in range(1, n + 1)
+        ])
     coords = [[0] * (m + 1) for _ in range(n)]
 
-    # level ell fixes the t^ell coefficient of every coordinate; the t^ell
-    # coefficient of g(jet) is final once levels <= ell are set, so each
-    # level adds one vanishing constraint per generator (for ell < e)
-    def level(ell: int) -> int:
-        if ell >= e:
-            return p ** (n * (m + 1 - ell))
+    def lift(ell):
+        """Completions of the jet whose levels < ell are set in coords; the
+        linear algebra at the current x0 is read from trans, pivots, kernel."""
+        if ell == e:
+            return free
+        # t^ell coefficients with c_ell = 0, mapped through the row operations
+        b = [-_poly_eval_jet(g, coords, p, ell + 1)[ell] for g in polys]
+        rhs = [sum(t * v for t, v in zip(row, b)) % p for row in trans]
+        if any(rhs[len(pivots):]):
+            return 0
+        if ell == e - 1:
+            return p ** len(kernel) * free
+        base = [0] * n
+        for col, v in zip(pivots, rhs):
+            base[col] = v
         count = 0
-        for combo in iter_product(range(p), repeat=n):
+        for combo in iter_product(range(p), repeat=len(kernel)):
             for var in range(n):
-                coords[var][ell] = combo[var]
-            ok = True
-            for g in polys:
-                val = _poly_eval_jet(g, coords, p, ell + 1)
-                if val[ell] != 0:
-                    ok = False
-                    break
-            if ok:
-                count += level(ell + 1)
+                coords[var][ell] = (
+                    base[var] + sum(c * k[var] for c, k in zip(combo, kernel))
+                ) % p
+            count += lift(ell + 1)
         for var in range(n):
             coords[var][ell] = 0
         return count
 
-    return level(0)
+    total = 0
+    for x0 in np.argwhere(zero):
+        x0 = tuple(int(v) for v in x0)
+        # [J | I] reduced on the J block: the I block records the row operations
+        rows, pivots = _rref_mod_p(
+            [[int(jac[i][j][x0]) for j in range(n)] + [int(i == k) for k in range(s)]
+             for i in range(s)],
+            n, p,
+        )
+        if len(pivots) == s:
+            total += p ** ((n - s) * (e - 1)) * free
+            continue
+        kernel = []
+        for col in range(n):
+            if col not in pivots:
+                vec = [0] * n
+                vec[col] = 1
+                for row, pc in zip(rows, pivots):
+                    vec[pc] = -row[col] % p
+                kernel.append(vec)
+        for var in range(n):
+            coords[var][0] = x0[var]
+        trans = [row[n:] for row in rows]
+        total += lift(1)
+    return total
 
 
 @dataclass

@@ -703,12 +703,12 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (CheckFailure, RankDropError, AssertionError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except (ParseError, ValueError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     if args.output:
         with open(args.output, "w") as fh:
             emit_report(args.command, config, results, args.format, out=fh)

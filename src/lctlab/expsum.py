@@ -4,13 +4,19 @@ The normalized sum
 
     E(p^m) = p^(-m n) * sum over x in (Z/p^m)^n of exp(2 pi i f(x) / p^m)
 
-is computed exactly-first: a full enumeration builds the integer histogram
-of residues of f (numpy, chunked over the leading axis so memory stays
-bounded), and floating point enters only in the final evaluation at the
-p^m-th roots of unity with compensated summation.  That makes |E| accurate
-to ~1e-12 regardless of how many points were enumerated, and makes all the
-set-identity checks exact integer comparisons of histograms followed by a
-single root-of-unity evaluation of the difference.
+is computed exactly-first: a stationary-phase recursion builds the integer
+histogram of residues of f, and floating point enters only in the final
+evaluation at the p^m-th roots of unity with compensated summation.  That
+makes |E| accurate to ~1e-12 regardless of how many points were counted,
+and makes all the set-identity checks exact integer comparisons of
+histograms followed by a single root-of-unity evaluation of the difference.
+
+The recursion evaluates f and its gradient on the p^n residues x0 mod p.
+Where the gradient is nonzero mod p, Hensel's lemma spreads the p^((m-1)n)
+points of the tube x = x0 (mod p) evenly over the residues c = f(x0)
+(mod p), so the tube is counted in closed form.  Only tubes over singular
+residues recurse, through the exact Taylor shift f(x0 + p y) - f(x0),
+which is divisible by p^2 there (Igusa's stationary-phase formula).
 
 Restricted sums fix the reduction of x modulo p to the zero locus of a list
 of polynomials; they are the discrete form of integrals over residue tubes.
@@ -32,7 +38,7 @@ import numpy as np
 
 from .budget import check_budget
 from .jacobian import IdealGens, ideal_power, jacobian_ideal
-from .polyring import Polynomial
+from .polyring import Polynomial, partial_derivative
 
 
 def _int_terms(f: Polynomial):
@@ -46,8 +52,19 @@ def _int_terms(f: Polynomial):
     return terms
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _eval_terms_mod(terms, grids, modulus):
-    """Evaluate a term list on broadcastable coordinate arrays, mod modulus."""
+    """Evaluate a term list on broadcastable coordinate arrays, mod modulus.
+
+    Products of two residues must fit in int64, so a modulus M with
+    (M - 1)^2 > 2^63 - 1 is refused rather than silently wrapped.
+    """
+    if (modulus - 1) ** 2 > _INT64_MAX:
+        raise ValueError(
+            f"modulus {modulus} is too large for int64 residue arithmetic"
+        )
     total = None
     for mono, coeff in terms:
         c = coeff % modulus
@@ -102,39 +119,93 @@ class ResidueHistogram:
         return self.total == self.p ** (self.m * self.nvars)
 
 
-def _histogram(f: Polynomial, p: int, m: int, budget=None, mask_fn=None):
-    """Histogram of f over (Z/p^m)^n, chunked over the first coordinate.
+def _residue_grids(nvars, p):
+    """Coordinate arrays of the p^n residues mod p, axis i running over x_i."""
+    return [
+        np.arange(p, dtype=np.int64).reshape([p if j == i else 1 for j in range(nvars)])
+        for i in range(nvars)
+    ]
 
-    ``mask_fn(grids) -> bool array`` optionally restricts the census.
+
+def _taylor_shift(terms, x0, p):
+    """Exact integer coefficients of f(x0 + p y) - f(x0), f given by terms."""
+    out = {}
+    for mono, coeff in terms:
+        parts = {(): coeff}
+        for xi, e in zip(x0, mono):
+            parts = {
+                a + (j,): c * math.comb(e, j) * xi ** (e - j) * p**j
+                for a, c in parts.items()
+                for j in range(e + 1)
+            }
+        for a, c in parts.items():
+            if any(a):
+                out[a] = out.get(a, 0) + c
+    return {a: c for a, c in out.items() if c}
+
+
+def _valuation(c, p):
+    k = 0
+    while c % p == 0:
+        c //= p
+        k += 1
+    return k
+
+
+def _tube_counts(f: Polynomial, p, m, mask_fn=None):
+    """counts[c] = #{x in (Z/p^m)^n : f(x) = c mod p^m}.
+
+    Each tube x = x0 (mod p) over a residue where the gradient is nonzero
+    mod p holds p^((m-1)(n-1)) points per residue c = f(x0) mod p (Hensel).
+    Over a singular x0 the shift f(x0 + p y) - f(x0) is p^k H(y) with
+    k >= 2 (or zero), and the tube is the histogram of H at level m - k,
+    each value taken p^((k-1)n) times, placed at f(x0) + p^k c.
     """
     n = f.nvars
     modulus = p**m
-    check_budget(modulus**n, budget, what="residue enumeration")
     terms = _int_terms(f)
-    if not terms and f.is_zero():
-        terms = []
-    counts = np.zeros(modulus, dtype=np.int64)
-    if n == 1:
-        xs = np.arange(modulus, dtype=np.int64)
-        vals = _eval_terms_mod(terms, [xs], modulus)
-        vals = np.broadcast_to(vals, xs.shape)
-        if mask_fn is not None:
-            keep = mask_fn([xs])
-            vals = vals[keep]
-        counts += np.bincount(np.asarray(vals, dtype=np.int64), minlength=modulus)
-        return ResidueHistogram(p, m, n, counts)
-    # chunk over x_1
-    for x1 in range(modulus):
-        grids = _axis_grids(n, x1, modulus, None)
-        vals = _eval_terms_mod(terms, grids, modulus)
-        shape = tuple(modulus if i > 0 else 1 for i in range(n))
-        vals = np.broadcast_to(vals, shape)
-        if mask_fn is not None:
-            keep = np.broadcast_to(mask_fn(grids), shape)
-            data = vals[keep]
-        else:
-            data = vals.ravel()
-        counts += np.bincount(np.asarray(data, dtype=np.int64), minlength=modulus)
+    grids = _residue_grids(n, p)
+    shape = (p,) * n
+    vals = np.broadcast_to(_eval_terms_mod(terms, grids, modulus), shape)
+    singular = np.ones(shape, dtype=bool)
+    for i in range(1, n + 1):
+        df = _int_terms(partial_derivative(f, i))
+        singular &= np.broadcast_to(_eval_terms_mod(df, grids, p), shape) == 0
+    keep = (
+        np.ones(shape, dtype=bool)
+        if mask_fn is None
+        else np.broadcast_to(mask_fn(grids), shape)
+    )
+    smooth = np.bincount(vals[keep & ~singular] % p, minlength=p)
+    counts = np.tile(smooth * p ** ((m - 1) * (n - 1)), p ** (m - 1))
+    for x0 in np.argwhere(keep & singular):
+        x0 = tuple(int(v) for v in x0)
+        v = int(vals[x0])
+        # k >= 2, so below m = 3 the whole tube sits on f(x0)
+        shift = _taylor_shift(terms, x0, p) if m > 2 else {}
+        k = min((_valuation(c, p) for c in shift.values()), default=m)
+        if k >= m:
+            counts[v] += p ** ((m - 1) * n)
+            continue
+        pk = p**k
+        h = Polynomial(n, {a: c // pk for a, c in shift.items()})
+        sub = _tube_counts(h, p, m - k)
+        counts[(v + pk * np.arange(p ** (m - k))) % modulus] += sub * p ** ((k - 1) * n)
+    return counts
+
+
+def _histogram(f: Polynomial, p: int, m: int, budget=None, mask_fn=None):
+    """Histogram of f over (Z/p^m)^n by the stationary-phase recursion.
+
+    ``mask_fn(grids) -> bool array`` optionally restricts the census; it is
+    applied to the residues mod p, so it must depend on x mod p only.
+    """
+    n = f.nvars
+    volume = (p**m) ** n
+    check_budget(volume, budget, what="residue enumeration")
+    if volume > _INT64_MAX:
+        raise ValueError(f"{volume} points overflow the int64 histogram counts")
+    counts = _tube_counts(f, p, m, mask_fn)
     return ResidueHistogram(p, m, n, counts)
 
 
@@ -348,20 +419,12 @@ def igusa_identity_check(
         mbar = (m + 1) // 2  # half level, rounded up
         step = p**mbar
         reps = modulus // step
+        # the coset points in lexicographic order of their offsets
+        offs = np.indices((reps,) * n).reshape(n, -1)
+        coset = [(sample[i] + offs[i] * step) % modulus for i in range(n)]
+        vals = np.broadcast_to(_eval_terms_mod(terms, coset, modulus), offs[0].shape)
         acc = 0j
-        from itertools import product as iter_product2
-
-        for offs in iter_product2(range(reps), repeat=n):
-            point = [
-                (sample[i] + offs[i] * step) % modulus for i in range(n)
-            ]
-            val = 0
-            for mono, coeff in terms:
-                t = coeff % modulus
-                for xi, e in zip(point, mono):
-                    for _ in range(e):
-                        t = (t * xi) % modulus
-                val = (val + t) % modulus
+        for val in vals.tolist():
             acc += cmath.exp(2j * math.pi * val / modulus)
         orth_value = abs(acc) / norm
         orth = orth_value < tol

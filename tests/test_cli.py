@@ -80,6 +80,21 @@ def test_check_failure_exit_code(capsys):
     assert "check failed" in err
 
 
+def test_rank_drop_exit_code(capsys, monkeypatch):
+    # RankDropError subclasses ValueError but is a failed hypothesis, not a
+    # usage error
+    import lctlab.cli
+    from lctlab.equiv import RankDropError
+
+    def drop(f, order):
+        raise RankDropError(2, 1)
+
+    monkeypatch.setattr(lctlab.cli, "morsify", drop)
+    code, _, err = run(capsys, "morsify", "--poly", "x^2+y^2", "--order", "6")
+    assert code == 1
+    assert "check failed" in err
+
+
 def test_tougeron_roundtrip(capsys):
     code, out, _ = run(
         capsys, "tougeron", "--poly", "x^3", "--g", "x^4", "--order", "10"
