@@ -61,6 +61,7 @@ from .lct import (
     CorDReport,
     FamilyReport,
     LctCertificate,
+    NewtonWitness,
     RayValuation,
     check_corD,
     check_theorems,
@@ -68,6 +69,7 @@ from .lct import (
     lct_det_fJ2,
     lct_diag_fJ2,
     newton_lct,
+    newton_lct_certificate,
     yano_roots,
 )
 from .polyring import (

@@ -206,7 +206,7 @@ def _cmd_lct(args):
             raise ValueError("lct monomial needs --ideal")
         nvars = args.nvars or infer_nvars(args.ideal)
         a = parse_ideal(args.ideal, nvars)
-        value = newton_lct(a)
+        value = newton_lct(a, budget=args.budget)
         print(value)
         return [
             {"ideal": str(a), "lct": value, "provenance": "derived"}

@@ -3,9 +3,12 @@
 Three independent computations live here:
 
 * :func:`newton_lct`: the threshold of a monomial ideal from its Newton
-  polyhedron, by exact rational linear programming (Fourier-Motzkin
-  elimination; the dimensions are tiny, so no pivoting heuristics are
-  needed and every step is certified rational arithmetic);
+  polyhedron, by Howald's linear program
+  lct(a) = min { sum(w) : w >= 0, <w, v_j> >= 1 for every generator v_j },
+  solved exactly by visiting every vertex of that polyhedron (each one an
+  n x n rational system solved by :class:`~lctlab.linalg.SparseEliminator`)
+  and returned with a primal-dual certificate that is checked before the
+  value leaves the function (:func:`newton_lct_certificate`);
 
 * :func:`lct_diag_fJ2` and :func:`lct_det_fJ2`: closed-form thresholds of
   the ideal (f) + J_f^2 for the diagonal family x_1^d + ... + x_n^d and for
@@ -27,10 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import combinations
+from math import comb, gcd, lcm
 from typing import Optional
 
-from .jacobian import IdealGens, ideal_D, ideal_power, ideal_sum
+from .budget import check_budget
+from .jacobian import IdealGens, _mono_divides, ideal_D, ideal_power, ideal_sum
+from .linalg import SparseEliminator
 
 
 # ----------------------------------------------------------------------
@@ -84,6 +90,21 @@ class PartitionWitness:
 
 
 @dataclass(frozen=True)
+class NewtonWitness:
+    """Both sides of Howald's linear program at an optimal vertex.
+
+    ``ray`` is the optimal weight vector made primitive; it bounds
+    lct <= A(ray) / ord_ray(a).  ``lam`` pairs generators v_j with rationals
+    lambda_j >= 0 such that sum(lambda_j * v_j) <= (1, ..., 1) componentwise;
+    for every w >= 0 that gives sum(w) >= sum(lambda_j * <w, v_j>) >=
+    sum(lambda_j) * ord_w(a), so lct >= sum(lambda_j).
+    """
+
+    ray: RayValuation
+    lam: tuple  # ((exponent vector, Fraction), ...)
+
+
+@dataclass(frozen=True)
 class LctCertificate:
     value: Fraction
     witness: object
@@ -104,11 +125,140 @@ class LctCertificate:
         if isinstance(w, RayValuation):
             a = context
             return Fraction(w.log_discrepancy(), w.ord_ideal(a)) == self.value
+        if isinstance(w, NewtonWitness):
+            a = context
+            order = w.ray.ord_ideal(a)
+            if order == 0 or Fraction(w.ray.log_discrepancy(), order) != self.value:
+                return False
+            gens = set(a.exponents())
+            if any(c < 0 or v not in gens for v, c in w.lam):
+                return False
+            if any(sum(c * v[i] for v, c in w.lam) > 1 for i in range(a.nvars)):
+                return False
+            return sum(c for _, c in w.lam) == self.value
         return False
 
 
 # ----------------------------------------------------------------------
-# Fourier-Motzkin elimination over exact rationals
+# Newton polyhedron: vertex enumeration with a primal-dual certificate
+
+
+def _monomial_exponents(a: IdealGens):
+    if not a.is_monomial():
+        raise ValueError("newton_lct needs a monomial ideal")
+    if a.is_zero():
+        raise ValueError("newton_lct needs a nonzero ideal")
+    return a.exponents()
+
+
+def _solve_square(columns, target):
+    """{k: x_k} with sum(x_k * columns[k]) == target, for columns given as
+    sparse dicts; None when the columns are linearly dependent."""
+    elim = SparseEliminator()
+    for k, col in columns.items():
+        elim.add_row(col, tag=k)
+    if elim.rank < len(columns):
+        return None
+    return elim.solve(target)
+
+
+def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
+    """Threshold of a proper nonzero monomial ideal, with a checked
+    primal-dual certificate (:class:`NewtonWitness`).
+
+    Howald's linear program lct = min { sum(w) : w >= 0, <w, v_j> >= 1 } has
+    a pointed feasible region on which sum(w) is bounded below, so its
+    minimum sits at a vertex.  Only minimal generators are kept (a divided
+    generator gives a redundant constraint for w >= 0); with m of them, each
+    n-subset S of the m generator rows and n coordinate rows e_i is a
+    candidate basis: S is skipped when all its rows are coordinate rows or
+    the kernel's rank shows A_S singular, otherwise A_S w = b_S is solved and
+    w kept when feasible.  Every basis reaching the minimum is kept, since a
+    degenerate vertex can have bases with negative duals; among them is an
+    optimal basis whose dual solution is non-negative, and that dual gives
+    the lower bound.  The C(m + n, n) bases are checked against ``budget``
+    before the enumeration starts.
+    """
+    exps = _monomial_exponents(a)
+    if any(sum(e) == 0 for e in exps):
+        raise ValueError("the unit ideal has no finite threshold")
+    n = a.nvars
+    distinct = set(exps)
+    gens = sorted(v for v in distinct if not any(u != v and _mono_divides(u, v) for u in distinct))
+    m = len(gens)
+    check_budget(comb(m + n, n), budget, what="Newton-polyhedron vertex enumeration")
+    best = None
+    optimal = []  # (rows, free, p) of every basis whose vertex p / q reaches ``best``
+    for basis in combinations(range(m + n), n):
+        rows = [k for k in basis if k < m]
+        if not rows:
+            continue
+        fixed = {k - m for k in basis[len(rows):]}
+        free = [i for i in range(n) if i not in fixed]
+        # A_S w = b_S, with w_i = 0 on the coordinate rows of S
+        w = _solve_square({i: {j: gens[j][i] for j in rows if gens[j][i]} for i in free},
+                          dict.fromkeys(rows, 1))
+        if w is None:
+            continue
+        q = lcm(*(x.denominator for x in w.values()))
+        p = tuple(int(w[i] * q) if i in w else 0 for i in range(n))
+        if min(p) < 0:
+            continue
+        total = Fraction(sum(p), q)
+        if best is not None and total > best:
+            continue
+        if any(sum(x * y for x, y in zip(p, v)) < q for v in gens):
+            continue
+        if best is None or total < best:
+            best, optimal = total, []
+        optimal.append((rows, free, p))
+    for rows, free, p in optimal:
+        # A_S^T y = (1, ..., 1): multipliers on the generator rows of S,
+        # and slacks 1 - sum(lambda_j v_j)_i on its coordinate rows
+        lam = _solve_square({j: {i: gens[j][i] for i in free if gens[j][i]} for j in rows},
+                            dict.fromkeys(free, 1))
+        if any(c < 0 for c in lam.values()):
+            continue
+        if any(sum(c * gens[j][i] for j, c in lam.items()) > 1 for i in range(n)):
+            continue
+        g = gcd(*p)
+        witness = NewtonWitness(
+            ray=RayValuation(tuple(x // g for x in p)),
+            lam=tuple((gens[j], c) for j, c in sorted(lam.items())),
+        )
+        break
+    else:
+        raise AssertionError("no optimal basis of the Newton polyhedron is dual feasible")
+    cert = LctCertificate(
+        value=best,
+        witness=witness,
+        bound_proof=(
+            "lct <= A(ray)/ord_ray(a) at the optimal vertex; lct >= sum(lambda) "
+            "since sum(lambda_j v_j) <= (1,..,1) with lambda >= 0"
+        ),
+    )
+    if not cert.check(a):
+        raise AssertionError("Newton-polyhedron certificate failed its check")
+    return cert
+
+
+def newton_lct(a: IdealGens, budget=None):
+    """Log canonical threshold of a monomial ideal via its Newton polyhedron.
+
+    Returns 1/t* where t* is the smallest t with t*(1,..,1) inside the
+    convex hull of the exponent vectors plus the non-negative orthant,
+    computed by :func:`newton_lct_certificate`, whose certificate is checked
+    on every call.  Unit ideals give the +inf sentinel.
+    """
+    if any(sum(e) == 0 for e in _monomial_exponents(a)):
+        return math.inf  # unit ideal
+    return newton_lct_certificate(a, budget).value
+
+
+# ----------------------------------------------------------------------
+# Fourier-Motzkin elimination over exact rationals.  No longer on any
+# computation path: it stays as the independent test oracle for newton_lct
+# (tests/test_lct.py), and the benchmark's traced run looks the name up.
 
 
 def _fm_normalize(ineq):
@@ -127,7 +277,8 @@ def fourier_motzkin_minimize(num_vars: int, inequalities, objective_var: int):
 
     Eliminates every other variable in turn, then reads the sharpest lower
     bound on the objective.  Exact; raises if the system is infeasible or
-    the objective unbounded below.
+    the objective unbounded below.  Only the tests call it, as the oracle
+    for :func:`newton_lct`.
     """
     ineqs = [
         (tuple(Fraction(c) for c in coeffs), Fraction(const))
@@ -175,42 +326,6 @@ def fourier_motzkin_minimize(num_vars: int, inequalities, objective_var: int):
     if lower is None:
         raise ValueError("objective is unbounded below")
     return lower
-
-
-def newton_lct(a: IdealGens):
-    """Log canonical threshold of a monomial ideal via its Newton polyhedron.
-
-    Returns 1/t* where t* is the smallest t with t*(1,..,1) inside the
-    convex hull of the exponent vectors plus the non-negative orthant.
-    Unit ideals give the +inf sentinel.
-    """
-    if not a.is_monomial():
-        raise ValueError("newton_lct needs a monomial ideal")
-    if a.is_zero():
-        raise ValueError("newton_lct needs a nonzero ideal")
-    exps = a.exponents()
-    if any(sum(e) == 0 for e in exps):
-        return math.inf  # unit ideal
-    n = a.nvars
-    r = len(exps)
-    # variables: mu_1..mu_{r-1}, t  (mu_r = 1 - sum of the others)
-    num_vars = r  # r-1 mus and t at index r-1
-    t_idx = r - 1
-    ineqs = []
-    for j in range(r - 1):
-        coeffs = [Fraction(0)] * num_vars
-        coeffs[j] = Fraction(-1)
-        ineqs.append((coeffs, Fraction(0)))  # -mu_j <= 0
-    coeffs = [Fraction(1)] * (r - 1) + [Fraction(0)]
-    ineqs.append((coeffs, Fraction(1)))  # sum mu_j <= 1  (mu_r >= 0)
-    last = exps[-1]
-    for i in range(n):
-        # sum_j mu_j (v_j_i - v_r_i) + v_r_i <= t
-        coeffs = [Fraction(exps[j][i] - last[i]) for j in range(r - 1)]
-        coeffs.append(Fraction(-1))
-        ineqs.append((tuple(coeffs), Fraction(-last[i])))
-    t_star = fourier_motzkin_minimize(num_vars, ineqs, t_idx)
-    return Fraction(1) / t_star
 
 
 def newton_lct_witness_ray(a: IdealGens, weight_bound: int):
@@ -315,17 +430,19 @@ def lct_det_fJ2(n: int) -> LctCertificate:
     if n < 2:
         raise ValueError("need n >= 2")
     bound = 4 * n
-    best = None
+    best_num, best_den = 1, 0  # the ratio codim / denom of best_lam; 1/0 is +inf
     best_lam = None
     for lam in _partitions_bounded(n, bound):
         if lam[1] == 0:
             continue
         codim = sum(l * (2 * i + 1) for i, l in enumerate(lam))
         denom = min(sum(lam), 2 * sum(lam[1:]))
-        val = Fraction(codim, denom)
-        if best is None or val < best or (val == best and lam < best_lam):
-            best = val
+        # compare codim / denom with the best ratio by cross-multiplication
+        lhs, rhs = codim * best_den, best_num * denom
+        if lhs < rhs or (lhs == rhs and lam < best_lam):
+            best_num, best_den = codim, denom
             best_lam = lam
+    best = Fraction(best_num, best_den)
     if not _det_lower_bound_argument(n):
         raise AssertionError("symbolic lower bound failed")
     if best != 2:

@@ -580,16 +580,21 @@ def series_sqrt(s: TruncatedSeries) -> TruncatedSeries:
 
 
 def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Reciprocal of a unit series (nonzero constant term), by Newton iteration."""
+    """Reciprocal of a unit series (nonzero constant term), by Newton iteration.
+
+    Each pass doubles the precision: y correct mod m^k gives y(2 - s y)
+    correct mod m^(2k), so every pass runs at its own precision only.
+    """
     c0 = s.constant_term
     if not c0:
         raise ValueError("series_inverse requires a unit (nonzero constant term)")
     order = s.order
-    y = TruncatedSeries(Polynomial.constant(s.nvars, Fraction(1, 1) / Fraction(c0)), order)
+    y = TruncatedSeries(Polynomial.constant(s.nvars, Fraction(1, 1) / Fraction(c0)), 1)
     prec = 1
     while prec < order:
         prec = min(2 * prec, order)
-        y = TruncatedSeries((y * (2 - s * y)).poly, order)
+        y = TruncatedSeries(y.poly, prec)
+        y = y * (2 - s.truncate(prec) * y)
     return y
 
 

@@ -71,6 +71,15 @@ def test_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_lct_monomial_budget_exit_code(capsys):
+    # two minimal generators in two variables: C(4, 2) = 6 bases to visit
+    code, out, _ = run(capsys, "--budget", "6", "lct", "monomial", "--ideal", "x^3,y^3")
+    assert code == 0 and out.splitlines()[0] == "2/3"
+    code, _, err = run(capsys, "--budget", "5", "lct", "monomial", "--ideal", "x^3,y^3")
+    assert code == 3
+    assert "budget" in err
+
+
 def test_check_failure_exit_code(capsys):
     # x is not in the Jacobian-square ideal of x^3
     code, _, err = run(

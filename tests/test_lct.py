@@ -1,19 +1,29 @@
 """Thresholds: the Newton-polyhedron oracle, the two families, root tables."""
 
+import dataclasses
 import math
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import lctlab
+from lctlab.budget import BudgetExceededError
 from lctlab.jacobian import IdealGens, ideal_power
 from lctlab.lct import (
+    RayValuation,
     check_corD,
     check_theorems,
     det_roots,
+    fourier_motzkin_minimize,
     lct_det_fJ2,
     lct_diag_bruteforce,
     lct_diag_fJ2,
     newton_lct,
+    newton_lct_certificate,
     newton_lct_witness_ray,
     yano_roots,
 )
@@ -86,6 +96,160 @@ def test_newton_power_scaling():
     assert newton_lct(ideal_power(a, 2)) == newton_lct(a) / 2
     b = ideal(2, "x^3", "y^3")
     assert newton_lct(ideal_power(b, 3)) == newton_lct(b) / 3
+
+
+# ---------------------------------------------------------------- vertex enumeration
+
+
+def newton_lct_fm(a):
+    """The threshold by Fourier-Motzkin elimination, independent of the vertex
+    enumeration: 1 / min t over convex weights mu with sum(mu_j v_j) <= t (1,..,1)."""
+    exps = a.exponents()
+    n = a.nvars
+    r = len(exps)
+    # variables: mu_1..mu_{r-1}, t  (mu_r = 1 - sum of the others)
+    num_vars = r
+    t_idx = r - 1
+    ineqs = []
+    for j in range(r - 1):
+        coeffs = [Fraction(0)] * num_vars
+        coeffs[j] = Fraction(-1)
+        ineqs.append((coeffs, Fraction(0)))  # -mu_j <= 0
+    coeffs = [Fraction(1)] * (r - 1) + [Fraction(0)]
+    ineqs.append((coeffs, Fraction(1)))  # sum mu_j <= 1  (mu_r >= 0)
+    last = exps[-1]
+    for i in range(n):
+        # sum_j mu_j (v_j_i - v_r_i) + v_r_i <= t
+        coeffs = [Fraction(exps[j][i] - last[i]) for j in range(r - 1)]
+        coeffs.append(Fraction(-1))
+        ineqs.append((tuple(coeffs), Fraction(-last[i])))
+    return Fraction(1) / fourier_motzkin_minimize(num_vars, ineqs, t_idx)
+
+
+def random_monomial_ideal(rng, n, r, emax):
+    exps = set()
+    while len(exps) < r:
+        e = tuple(rng.randint(0, emax) for _ in range(n))
+        if sum(e):
+            exps.add(e)
+    return IdealGens(n, [Polynomial(n, {e: rng.randint(1, 5)}) for e in sorted(exps)])
+
+
+FOUND_IDEAL = "x^3*y^3*z^3,x^6*z^2,x^3*y^6,z^6,x^6,x^2*y^2*z^2,x*y^3,y^3*z,x^6*y^2"
+
+
+def grid_ideals():
+    rng = random.Random(20260517)
+    for n, rmax, emax in ((1, 4, 9), (2, 7, 7), (3, 7, 4)):
+        for r in range(1, rmax + 1):
+            for _ in range(4):
+                yield random_monomial_ideal(rng, n, r, emax)
+
+
+def test_vertex_enumeration_matches_fourier_motzkin():
+    for a in grid_ideals():
+        value = newton_lct(a)
+        assert value == newton_lct_fm(a), str(a)
+        cert = newton_lct_certificate(a)
+        assert cert.value == value and cert.check(a), str(a)
+
+
+def test_vertex_enumeration_matches_ray_search_in_four_variables():
+    rng = random.Random(4)
+    for _ in range(12):
+        a = random_monomial_ideal(rng, 4, rng.randint(1, 5), 3)
+        cert = newton_lct_certificate(a)
+        bound = max(4, *cert.witness.ray.weights)
+        ray_value, _ = newton_lct_witness_ray(a, bound)
+        assert ray_value == cert.value == newton_lct(a), str(a)
+
+
+def test_certificate_on_fixed_ideals():
+    cases = [
+        (ideal(2, "x^3", "y^3", "x^2*y^2"), Fraction(2, 3)),
+        (ideal(3, "x1^4", "x2^4", "x3^4"), Fraction(3, 4)),
+        (ideal(2, "x^4", "x^5", "x*y^2", "x^2*y^2", "y^4"), Fraction(5, 8)),
+        (ideal(3, "x"), Fraction(1)),
+    ]
+    for a, expected in cases:
+        cert = newton_lct_certificate(a)
+        assert cert.value == expected
+        assert cert.check(a)
+        lam = dict(cert.witness.lam)
+        assert all(c >= 0 for c in lam.values()) and sum(lam.values()) == expected
+        ray = cert.witness.ray
+        assert Fraction(ray.log_discrepancy(), ray.ord_ideal(a)) == expected
+
+
+def test_degenerate_vertex_finds_a_dual_feasible_basis():
+    # the optimal vertex (1/3, 1/3) lies on all three constraints; the first
+    # basis there, {y^3, x*y^2}, has dual -1/3 on y^3, so the certificate
+    # must come from another basis at the same vertex
+    a = ideal(2, "y^3", "x*y^2", "x^3")
+    cert = newton_lct_certificate(a)
+    assert cert.value == Fraction(2, 3) and cert.check(a)
+    assert cert.witness.ray.weights == (1, 1)
+    assert dict(cert.witness.lam) == {(0, 3): Fraction(1, 3), (3, 0): Fraction(1, 3)}
+    assert newton_lct(a) == newton_lct_fm(a)
+
+
+def test_tampered_certificates_fail():
+    a = ideal(3, "x1^4", "x2^4", "x3^4", "x1*x2*x3^2")
+    cert = newton_lct_certificate(a)
+    assert cert.check(a)
+    w = cert.witness
+    lam = list(w.lam)
+    v, c = lam[0]
+    tampered = [
+        dataclasses.replace(w, lam=tuple([(v, c + Fraction(1, 100))] + lam[1:])),
+        dataclasses.replace(w, lam=tuple([(v, -c)] + lam[1:])),
+        dataclasses.replace(w, lam=tuple([((9, 9, 9), c)] + lam[1:])),
+        dataclasses.replace(w, lam=tuple(lam[1:])),
+        dataclasses.replace(w, ray=RayValuation((1, 2, 3))),
+        dataclasses.replace(w, ray=RayValuation((0, 1, 0))) if w.ray.weights != (0, 1, 0)
+        else dataclasses.replace(w, ray=RayValuation((1, 0, 0))),
+    ]
+    for bad in tampered:
+        assert not dataclasses.replace(cert, witness=bad).check(a), bad
+    assert not dataclasses.replace(cert, value=cert.value + 1).check(a)
+
+
+def test_certificate_needs_a_proper_ideal_and_a_budget():
+    with pytest.raises(ValueError):
+        newton_lct_certificate(IdealGens(2, [Polynomial.constant(2, 1)]))
+    a = ideal(2, "x^3", "y^3")  # two generators in two variables: C(4, 2) bases
+    assert newton_lct(a, budget=6) == Fraction(2, 3)
+    with pytest.raises(BudgetExceededError):
+        newton_lct(a, budget=5)
+
+
+def _run_python(*argv, timeout):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lctlab.__file__)))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, timeout=timeout, capture_output=True, text=True
+    )
+
+
+def test_certificate_check_survives_optimized_mode():
+    # python -O strips assert statements; the certificate check must still raise
+    script = (
+        "import lctlab.lct as T\n"
+        "from lctlab.polyring import parse_poly\n"
+        "T.LctCertificate.check = lambda self, context: False\n"
+        "try:\n"
+        "    T.newton_lct(T.IdealGens(2, [parse_poly('x^3', 2), parse_poly('y^3', 2)]))\n"
+        "except AssertionError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    assert _run_python("-O", "-c", script, timeout=60).returncode == 0
+
+
+def test_nine_generator_ideal_finishes():
+    # Fourier-Motzkin did not finish this one within a minute
+    proc = _run_python("-m", "lctlab.cli", "lct", "monomial", "--ideal", FOUND_IDEAL, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "11/18"
 
 
 # ---------------------------------------------------------------- diagonal family

@@ -242,6 +242,18 @@ def test_series_inverse():
         series_inverse(TruncatedSeries(P("x", 1), 4))
 
 
+def test_series_inverse_multivariate_matches_full_order_newton():
+    s = TruncatedSeries(P("3 + x - 2*y + x*y^2 + 5*y^3 - x^4", 2), 11)
+    inv = series_inverse(s)
+    assert inv.order == 11
+    assert (s * inv).poly == Polynomial.constant(2, 1)
+    # reference: every Newton pass at the full order
+    ref = TruncatedSeries(Polynomial.constant(2, Fraction(1, 3)), 11)
+    for _ in range(4):  # 2^4 >= 11
+        ref = ref * (2 - s * ref)
+    assert inv == ref
+
+
 # ---------------------------------------------------------------- multiplicity
 
 
