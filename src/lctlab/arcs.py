@@ -173,7 +173,7 @@ def count_contact_jets(
         for c in g.terms.values():
             if not isinstance(c, int):
                 raise ValueError("jet counting needs integer coefficients")
-    check_budget(p ** ((m + 1) * n), budget, what="jet enumeration")
+    check_budget(p ** ((m + 1) * n), budget, what="jet enumeration", unit="jets")
     if e == 0:
         return p ** ((m + 1) * n)
 

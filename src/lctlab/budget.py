@@ -1,4 +1,4 @@
-"""Enumeration budget shared by the jet-counting and exponential-sum modules."""
+"""Enumeration budget shared by the threshold, jet-counting and exponential-sum modules."""
 
 from __future__ import annotations
 
@@ -9,10 +9,13 @@ ENV_VAR = "LCTLAB_BUDGET"
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when an exact enumeration would exceed the configured budget."""
+    """Raised when an exact enumeration would exceed the configured budget.
 
-    def __init__(self, needed: int, budget: int, what: str = "enumeration"):
-        super().__init__(f"{what} needs {needed} points, budget is {budget}")
+    ``unit`` names what is counted: points, jets or candidate bases.
+    """
+
+    def __init__(self, needed: int, budget: int, what: str, unit: str):
+        super().__init__(f"{what} needs {needed} {unit}, budget is {budget}")
         self.needed = needed
         self.budget = budget
 
@@ -27,8 +30,8 @@ def resolve_budget(budget=None) -> int:
     return DEFAULT_BUDGET
 
 
-def check_budget(needed: int, budget=None, what: str = "enumeration") -> int:
+def check_budget(needed: int, budget, what: str, unit: str) -> int:
     limit = resolve_budget(budget)
     if needed > limit:
-        raise BudgetExceededError(needed, limit, what)
+        raise BudgetExceededError(needed, limit, what, unit)
     return limit

@@ -676,7 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="seeded randomized property battery")
     p.add_argument("--cases", type=int, default=5)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # SUPPRESS: without it this default would overwrite a top-level --seed
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_selftest)
 
     return ap

@@ -19,9 +19,10 @@ of the corresponding formal statements, whose limits converge m-adically.
 Implementation note on ``tougeron``: each step needs the current residual
 written as a combination of products of partials of the *current* germ.
 Instead of solving a linear system per step, the witness matrix is
-transported through the substitution with an exactly computed transition
-matrix (a Neumann-series inverse), which keeps the whole iteration inside
-truncated polynomial arithmetic.
+transported through the substitution by an exactly computed transition
+matrix, inverted by Newton doubling, so the whole iteration stays inside
+truncated matrix algebra over polynomials.  :func:`formal_equiv_rank2` is
+:func:`morsify` of f + g followed by :func:`tougeron` on the residual germ.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .jacobian import (
     jacobian_ideal,
     membership_truncated,
     quadratic_form_matrix,
+    quadratic_rank,
 )
 from .linalg import det_dense, solve_dense
 from .polyring import (
@@ -227,28 +229,38 @@ def _matrix_zero(n, nvars):
     return [[Polynomial.zero(nvars) for _ in range(n)] for _ in range(n)]
 
 
-def _neumann_inverse(E, order):
-    """(I + E)^-1 mod m^order for a matrix of series with mult(E) >= 1."""
-    n = len(E)
-    nvars = E[0][0].nvars
-    ident = [
-        [Polynomial.constant(nvars, 1) if i == j else Polynomial.zero(nvars) for j in range(n)]
-        for i in range(n)
-    ]
-    x = [row[:] for row in ident]
-    for _ in range(order + 1):
-        nxt = [row[:] for row in ident]
-        for i in range(n):
-            for j in range(n):
-                acc = nxt[i][j]
-                for k in range(n):
-                    if not E[i][k].is_zero() and not x[k][j].is_zero():
-                        acc = acc - E[i][k].mul_truncated(x[k][j], order)
-                nxt[i][j] = acc
-        if nxt == x:
-            break
-        x = nxt
-    return x
+def _mat_mul(X, Y, order):
+    """X * Y for square matrices of polynomials, truncated below m^order."""
+    out = _matrix_zero(len(X), X[0][0].nvars)
+    for i, row in enumerate(X):
+        for k, x in enumerate(row):
+            if x.is_zero():
+                continue
+            for j, y in enumerate(Y[k]):
+                if not y.is_zero():
+                    out[i][j] = out[i][j] + x.mul_truncated(y, order)
+    return out
+
+
+def _newton_inverse(E, order):
+    """(I + E)^-1 mod m^order for a matrix of polynomials with mult(E) >= 1.
+
+    Newton doubling: X correct mod m^k gives X(2I - (I+E)X) = X + X*R with
+    R = I - (I+E)X correct mod m^(2k), so every pass runs at its own
+    precision only (the matrix form of ``series_inverse``).
+    """
+    n, nvars = len(E), E[0][0].nvars
+    ident = _matrix_zero(n, nvars)
+    for i in range(n):
+        ident[i][i] = Polynomial.constant(nvars, 1)
+    X, prec = ident, 1
+    while prec < order:
+        prec = min(2 * prec, order)
+        EX = _mat_mul([[e.truncate(prec) for e in row] for row in E], X, prec)
+        R = [[ident[i][j] - X[i][j] - EX[i][j] for j in range(n)] for i in range(n)]
+        XR = _mat_mul(X, R, prec)
+        X = [[X[i][j] + XR[i][j] for j in range(n)] for i in range(n)]
+    return X
 
 
 class _GPowers:
@@ -273,7 +285,7 @@ class _GPowers:
         return val
 
 
-def _tougeron_core(f_poly: Polynomial, H, order: int, check: bool = True):
+def _tougeron_core(f_poly: Polynomial, H, order: int):
     """Absorb ``sum(H[i][l] * df_i * df_l)`` into f by iterated substitutions.
 
     Returns the composed CoordinateMap.  ``H`` is an n x n matrix of
@@ -317,16 +329,6 @@ def _tougeron_core(f_poly: Polynomial, H, order: int, check: bool = True):
         prev_res_mult = res_mult
 
         partials = [partial_derivative(F.poly, i) for i in range(1, n + 1)]
-        if check:
-            recon = Polynomial.zero(n)
-            for i in range(n):
-                for l in range(n):
-                    if not H[i][l].is_zero():
-                        t = H[i][l].mul_truncated(partials[i], order)
-                        recon = recon + t.mul_truncated(partials[l], order)
-            if recon.truncate(order) != residual.poly:
-                raise AssertionError("witness lost track of the residual")
-
         gs = []
         for i in range(n):
             gi = Polynomial.zero(n)
@@ -334,6 +336,13 @@ def _tougeron_core(f_poly: Polynomial, H, order: int, check: bool = True):
                 if not H[i][l].is_zero():
                     gi = gi + H[i][l].mul_truncated(partials[l], order - jmult + 1)
             gs.append(gi)
+        # sum_i d_i F * g_i is sum H[i][l] d_i F d_l F mod m^order, because
+        # every d_i F has multiplicity >= jmult
+        recon = Polynomial.zero(n)
+        for p, gi in zip(partials, gs):
+            recon = recon + p.mul_truncated(gi, order)
+        if recon != residual.poly:
+            raise AssertionError("witness lost track of the residual")
         for gi in gs:
             if not gi.is_zero() and gi.multiplicity() < a_floor + jmult:
                 raise AssertionError("shift multiplicity below the step bound")
@@ -381,18 +390,10 @@ def _tougeron_core(f_poly: Polynomial, H, order: int, check: bool = True):
             key = (i1, i2)
             W[key] = W.get(key, Polynomial.zero(n)) + term
 
-        H_mid = _matrix_zero(n, n)
-        for (i1, i2), w in W.items():
-            if w.is_zero():
-                continue
-            for k in range(n):
-                if H[i1][k].is_zero():
-                    continue
-                wk = w.mul_truncated(H[i1][k], wit_order)
-                for l in range(n):
-                    if H[i2][l].is_zero():
-                        continue
-                    H_mid[k][l] = H_mid[k][l] - wk.mul_truncated(H[i2][l], wit_order)
+        zero = Polynomial.zero(n)
+        minus_W = [[-W.get((i1, i2), zero) for i2 in range(n)] for i1 in range(n)]
+        H_T = [list(col) for col in zip(*H)]
+        H_mid = _mat_mul(_mat_mul(H_T, minus_W, wit_order), H, wit_order)
 
         # transition: grad(F) = B * grad(F_new) with
         # B = inverse of (I + A)(I + M), A[i][j] = d_i g_j,
@@ -417,41 +418,14 @@ def _tougeron_core(f_poly: Polynomial, H, order: int, check: bool = True):
                 V[u][w_idx] = V[u][w_idx] + dpu.truncate(wit_order).mul_truncated(
                     grest, wit_order
                 )
-        M = _matrix_zero(n, f_poly.nvars)
-        for u in range(n):
-            for v in range(n):
-                acc = M[u][v]
-                for w_idx in range(n):
-                    if not V[u][w_idx].is_zero() and not H[w_idx][v].is_zero():
-                        acc = acc + V[u][w_idx].mul_truncated(H[w_idx][v], wit_order)
-                M[u][v] = acc
-        # E := A + M + A*M, so (I+A)(I+M) = I + E
-        E = [[A[i][j] + M[i][j] for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = E[i][j]
-                for k in range(n):
-                    if not A[i][k].is_zero() and not M[k][j].is_zero():
-                        acc = acc + A[i][k].mul_truncated(M[k][j], wit_order)
-                E[i][j] = acc
-        B = _neumann_inverse(E, wit_order)
-
-        H_new = _matrix_zero(n, f_poly.nvars)
-        for k in range(n):
-            for l in range(n):
-                if H_mid[k][l].is_zero():
-                    continue
-                for u in range(n):
-                    if B[k][u].is_zero():
-                        continue
-                    bku = H_mid[k][l].mul_truncated(B[k][u], wit_order)
-                    for v in range(n):
-                        if B[l][v].is_zero():
-                            continue
-                        H_new[u][v] = H_new[u][v] + bku.mul_truncated(
-                            B[l][v], wit_order
-                        )
-        H = H_new
+        M = _mat_mul(V, H, wit_order)
+        AM = _mat_mul(A, M, wit_order)
+        # E := A + M + A*M, so (I+A)(I+M) = I + E and the new witness is
+        # B^T H_mid B with B = (I + E)^-1
+        E = [[A[i][j] + M[i][j] + AM[i][j] for j in range(n)] for i in range(n)]
+        B = _newton_inverse(E, wit_order)
+        B_T = [list(col) for col in zip(*B)]
+        H = _mat_mul(_mat_mul(B_T, H_mid, wit_order), B, wit_order)
         F = F_new
         a_floor = 2 * a_floor + 1
     else:
@@ -484,7 +458,20 @@ def _witness_matrix(f: Polynomial, witness: MembershipWitness):
     return H
 
 
-def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int, check: bool = True) -> CoordinateMap:
+def _check_witness(f: Polynomial, g_witness) -> None:
+    """Refuse anything but a verified witness over the generators of J_f^2."""
+    if isinstance(g_witness, NotMember):
+        raise ValueError(
+            f"g is not in the Jacobian-square ideal modulo m^{g_witness.order}"
+        )
+    jf2 = ideal_power(jacobian_ideal(f), 2)
+    if [g.terms for g in g_witness.gens.gens] != [g.terms for g in jf2.gens]:
+        raise ValueError("witness generators are not the Jacobian-square generators of f")
+    if not g_witness.verify():
+        raise ValueError("witness does not re-expand to its target")
+
+
+def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> CoordinateMap:
     """Coordinate change sending f to f + g mod m^order, for g in J_f^2.
 
     ``g_witness`` must certify membership of g in the square of the Jacobian
@@ -494,24 +481,31 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int, check: boo
     """
     if f.multiplicity() < 3:
         raise ValueError("tougeron needs mult(f) >= 3; use formal_equiv_rank2 for rank cases")
+    _check_witness(f, g_witness)
     if g_witness.order < order:
         raise ValueError(
             f"witness order {g_witness.order} is smaller than the requested order {order}"
         )
-    jf2 = ideal_power(jacobian_ideal(f), 2)
-    if [g.terms for g in g_witness.gens.gens] != [g.terms for g in jf2.gens]:
-        raise ValueError("witness generators are not the Jacobian-square generators of f")
-    if not g_witness.verify():
-        raise ValueError("witness does not re-expand to its target")
-    return _tougeron_core(f, _witness_matrix(f, g_witness), order, check=check)
+    return _tougeron_core(f, _witness_matrix(f, g_witness), order)
 
 
 # ----------------------------------------------------------------------
 # morsification
 
 
+class _SplitNormalForm:
+    """``normal_form`` for results carrying diag_coeffs, residual and order."""
+
+    def normal_form(self) -> TruncatedSeries:
+        n = self.residual.nvars
+        total = Polynomial.zero(n)
+        for i, c in enumerate(self.diag_coeffs, start=1):
+            total = total + Polynomial.variable(n, i) ** 2 * c
+        return TruncatedSeries(total + self.residual.poly, self.order)
+
+
 @dataclass
-class MorsifyResult:
+class MorsifyResult(_SplitNormalForm):
     """Outcome of splitting off the quadratic part.
 
     ``map`` sends f to ``sum(diag_coeffs[i] * x_{i+1}^2) + residual`` modulo
@@ -522,13 +516,6 @@ class MorsifyResult:
     diag_coeffs: list
     residual: TruncatedSeries
     order: int
-
-    def normal_form(self) -> TruncatedSeries:
-        n = self.residual.nvars
-        total = Polynomial.zero(n)
-        for i, a in enumerate(self.diag_coeffs, start=1):
-            total = total + Polynomial.variable(n, i) ** 2 * a
-        return TruncatedSeries(total + self.residual.poly, self.order)
 
 
 def _diagonalize_quadratic(S):
@@ -721,7 +708,7 @@ def morsify(f, order: int) -> MorsifyResult:
 
 
 @dataclass
-class Rank2Result:
+class Rank2Result(_SplitNormalForm):
     """Coordinate change sending f+g to ``sum(c_i x_i^2) + h`` mod m^order."""
 
     map: CoordinateMap
@@ -730,13 +717,6 @@ class Rank2Result:
     rank: int
     order: int
     steps: list
-
-    def normal_form(self) -> TruncatedSeries:
-        n = self.residual.nvars
-        total = Polynomial.zero(n)
-        for i, c in enumerate(self.diag_coeffs, start=1):
-            total = total + Polynomial.variable(n, i) ** 2 * c
-        return TruncatedSeries(total + self.residual.poly, self.order)
 
 
 def _restrict_vars(poly: Polynomial, keep):
@@ -786,71 +766,47 @@ def split_form(f: Polynomial):
     return r, [diag[i] for i in range(1, r + 1)], h
 
 
-def formal_equiv_rank2(
-    f: Polynomial, g_witness: MembershipWitness, order: int, check: bool = True
-) -> Rank2Result:
+def formal_equiv_rank2(f: Polynomial, g_witness: MembershipWitness, order: int) -> Rank2Result:
     """Absorb g in J_f^2 into a split multiplicity-2 germ, preserving rank.
 
-    Pipeline: diagonalize the perturbed quadratic part by an exact linear
-    change, morsify the diagonal variables one at a time, then absorb the
-    leftover perturbation of the residual germ (it lands in the square of
-    the residual's own Jacobian ideal) with the multiplicity-3 iteration.
+    Pipeline: :func:`morsify` f+g, which diagonalizes the perturbed quadratic
+    part and cleans the diagonal variables; then absorb the leftover
+    perturbation of the residual germ (it lands in the square of the
+    residual's own Jacobian ideal) with :func:`tougeron`.
     Raises :class:`RankDropError` when rank((f+g)_2) < rank(f_2): that is the
     hypothesis of the statement, reported rather than repaired.
     """
     n = f.nvars
-    r, diag, h = split_form(f)
-    jf2 = ideal_power(jacobian_ideal(f), 2)
-    if [g.terms for g in g_witness.gens.gens] != [g.terms for g in jf2.gens]:
-        raise ValueError("witness generators are not the Jacobian-square generators of f")
-    if not g_witness.verify():
-        raise ValueError("witness does not re-expand to its target")
-    g = g_witness.target
-    fg = f + g
-    S = quadratic_form_matrix(fg)
-    for row in S:
-        if any(row[r:]):
-            raise AssertionError("perturbed quadratic part leaks past the rank block")
-    P, c = _diagonalize_quadratic(S)
-    if len(c) != r:
-        raise RankDropError(r, len(c))
+    r, _diag, h = split_form(f)
+    _check_witness(f, g_witness)
+    fg = f + g_witness.target
+    if any(any(row[r:]) for row in quadratic_form_matrix(fg)):
+        raise AssertionError("perturbed quadratic part leaks past the rank block")
+    rank_fg = quadratic_rank(fg)
+    if rank_fg != r:
+        raise RankDropError(r, rank_fg)
 
-    steps = []
-    cmap = CoordinateMap.linear(P, order)
-    F = cmap.apply(fg, order)
-    steps.append("linear diagonalization of the perturbed quadratic part")
-    for k in range(1, r + 1):
-        step_map, F, c_k = _morsify_variable(F, k, order)
-        if c_k != c[k - 1]:
-            raise AssertionError("diagonal coefficient drifted during cleaning")
-        cmap = cmap.then(step_map)
-        steps.append(f"morsification with respect to x{k}")
+    steps = ["linear diagonalization of the perturbed quadratic part"]
+    if r:
+        split = morsify(fg, order)
+        cmap, c, resid = split.map, split.diag_coeffs, split.residual.poly
+        steps += [f"morsification with respect to x{k}" for k in range(1, r + 1)]
+    else:
+        cmap, c, resid = CoordinateMap.identity(n, order), [], fg.truncate(order)
 
-    # residual after the quadratic block: h plus a perturbation q in the
-    # square of the Jacobian ideal of h
-    rest_vars = list(range(r + 1, n + 1))
-    resid = F.poly
-    for i, c_k in enumerate(c, start=1):
-        resid = resid - Polynomial.variable(n, i) ** 2 * c_k
+    # resid lives on the variables past the rank (morsify checks that); it is
+    # h plus a perturbation q in the square of its own Jacobian ideal
     q = (resid - h).truncate(order)
     if not q.is_zero():
-        if not rest_vars:
-            raise AssertionError("full-rank germ left a nonzero residual")
-        h_sub = _restrict_vars(h, rest_vars)
+        rest_vars = list(range(r + 1, n + 1))
         hq_sub = _restrict_vars(resid, rest_vars)
-        mq_sub = _restrict_vars(-q, rest_vars)
         jhq2 = ideal_power(jacobian_ideal(hq_sub), 2)
-        wit = membership_truncated(mq_sub, jhq2, order)
-        if isinstance(wit, NotMember):
-            raise AssertionError(
-                "residual perturbation unexpectedly not in the Jacobian square"
-            )
-        theta = _tougeron_core(hq_sub, _witness_matrix(hq_sub, wit), order, check=check)
+        wit = membership_truncated(_restrict_vars(-q, rest_vars), jhq2, order)
+        theta = tougeron(hq_sub, wit, order)
         images = [Polynomial.variable(n, i) for i in range(1, n + 1)]
         for pos, im in zip(rest_vars, theta.images):
             images[pos - 1] = _extend_vars(im.poly, n, rest_vars)
-        theta_ext = CoordinateMap(images, order)
-        cmap = cmap.then(theta_ext)
+        cmap = cmap.then(CoordinateMap(images, order))
         steps.append("absorption of the residual perturbation")
 
     result = Rank2Result(

@@ -87,7 +87,7 @@ def _eval_terms_mod(terms, grids, modulus):
     return total
 
 
-def _axis_grids(nvars, first_value, m_mod, shape_rest):
+def _axis_grids(nvars, first_value, m_mod):
     """Coordinate arrays: axis 0 is pinned to first_value, the rest run over
     the full residue range, broadcast into shape (1, M, M, ...)."""
     grids = [np.int64(first_value)]
@@ -202,7 +202,7 @@ def _histogram(f: Polynomial, p: int, m: int, budget=None, mask_fn=None):
     """
     n = f.nvars
     volume = (p**m) ** n
-    check_budget(volume, budget, what="residue enumeration")
+    check_budget(volume, budget, what="residue enumeration", unit="points")
     if volume > _INT64_MAX:
         raise ValueError(f"{volume} points overflow the int64 histogram counts")
     counts = _tube_counts(f, p, m, mask_fn)
@@ -219,14 +219,14 @@ def residue_histogram(f: Polynomial, p: int, m: int, budget=None) -> ResidueHist
     return hist
 
 
-def exp_sum_from_histogram(hist: ResidueHistogram, weight_total=None) -> complex:
+def exp_sum_from_histogram(hist: ResidueHistogram) -> complex:
     """Evaluate sum(counts[c] * exp(2 pi i c / p^m)) / p^(m n).
 
     Compensated summation over the at most p^m distinct residues; for very
     large moduli numpy's pairwise summation is used instead of fsum.
     """
     modulus = hist.modulus
-    norm = hist.p ** (hist.m * hist.nvars) if weight_total is None else weight_total
+    norm = hist.p ** (hist.m * hist.nvars)
     idx = np.nonzero(hist.counts)[0]
     if len(idx) <= (1 << 20):
         re = math.fsum(
@@ -346,7 +346,7 @@ def igusa_identity_check(
         raise ValueError("identity checks need m >= 2")
     n = f.nvars
     modulus = p**m
-    check_budget(modulus**n, budget, what="residue enumeration")
+    check_budget(modulus**n, budget, what="residue enumeration", unit="points")
     warnings = []
     threshold = default_min_p(f) if min_p is None else min_p
     if p <= threshold:
@@ -397,7 +397,7 @@ def igusa_identity_check(
     else:
         shape = tuple(modulus if i > 0 else 1 for i in range(n))
         for x1 in range(modulus):
-            grids = _axis_grids(n, x1, modulus, None)
+            grids = _axis_grids(n, x1, modulus)
             h0, h1, h2 = scan(grids, shape, lead=x1)
             hist_z += h0
             hist_z_f += h1
@@ -405,8 +405,7 @@ def igusa_identity_check(
     norm = p ** (m * n)
 
     def value_of(delta_counts):
-        h = ResidueHistogram(p, m, n, delta_counts)
-        return exp_sum_from_histogram(h, weight_total=norm)
+        return exp_sum_from_histogram(ResidueHistogram(p, m, n, delta_counts))
 
     d1 = abs(value_of(hist_z - hist_z_f))
     d2 = abs(value_of(hist_z_f - hist_z_fj))

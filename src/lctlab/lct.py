@@ -186,7 +186,9 @@ def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
     distinct = set(exps)
     gens = sorted(v for v in distinct if not any(u != v and _mono_divides(u, v) for u in distinct))
     m = len(gens)
-    check_budget(comb(m + n, n), budget, what="Newton-polyhedron vertex enumeration")
+    check_budget(
+        comb(m + n, n), budget, what="Newton-polyhedron vertex enumeration", unit="candidate bases"
+    )
     best = None
     optimal = []  # (rows, free, p) of every basis whose vertex p / q reaches ``best``
     for basis in combinations(range(m + n), n):

@@ -181,6 +181,29 @@ def test_selftest(capsys):
     assert code == 0
 
 
+def test_top_level_seed_reaches_selftest(capsys):
+    code, out, _ = run(capsys, "--seed", "99", "selftest", "--cases", "1")
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 99
+
+
+def test_budget_error_names_the_counted_unit(capsys):
+    code, _, err = run(capsys, "--budget", "5", "lct", "monomial", "--ideal", "x^3,y^3")
+    assert code == 3
+    assert "needs 6 candidate bases, budget is 5" in err
+    code, _, err = run(
+        capsys, "--budget", "5", "jets", "count", "--ideal", "x",
+        "--p", "5", "--m", "3", "--e", "1",
+    )
+    assert code == 3
+    assert "needs 625 jets, budget is 5" in err
+    code, _, err = run(
+        capsys, "--budget", "5", "expsum", "--poly", "x^3+y^3", "--p", "7", "--m", "3"
+    )
+    assert code == 3
+    assert "needs 117649 points, budget is 5" in err
+
+
 def test_golden_tables_stable(tmp_path):
     d1 = tmp_path / "g1"
     d2 = tmp_path / "g2"

@@ -17,6 +17,7 @@ from lctlab.equiv import (
 from lctlab.jacobian import (
     IdealGens,
     MembershipWitness,
+    NotMember,
     ideal_power,
     jacobian_ideal,
     membership_truncated,
@@ -24,6 +25,7 @@ from lctlab.jacobian import (
 from lctlab.polyring import (
     Polynomial,
     TruncatedSeries,
+    monomials_below,
     parse_poly,
 )
 
@@ -287,3 +289,179 @@ def test_split_form_recognition():
         split_form(P("x*y + z^3", 3))  # not diagonal
     with pytest.raises(ValueError):
         split_form(P("x^2 + x^3", 1) + P("0", 1))  # higher part touches x1
+
+
+# ---------------------------------------------------------------- witness transport
+
+
+def neumann_inverse(E, order):
+    """(I + E)^-1 mod m^order by the Neumann series I - E + E^2 - ...
+
+    The slow oracle for the Newton inverse: up to order + 1 full products.
+    """
+    n, nvars = len(E), E[0][0].nvars
+    ident = [[Polynomial.constant(nvars, int(i == j)) for j in range(n)] for i in range(n)]
+    x = ident
+    for _ in range(order + 1):
+        nxt = [[ident[i][j] for j in range(n)] for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    nxt[i][j] = nxt[i][j] - E[i][k].mul_truncated(x[k][j], order)
+        if nxt == x:
+            break
+        x = nxt
+    return x
+
+
+def random_matrix(rng, n, nvars, min_mult, max_deg):
+    """An n x n matrix of sparse polynomials with multiplicity >= min_mult."""
+    monos = [m for m in monomials_below((1,) * nvars, max_deg + 1) if sum(m) >= min_mult]
+    return [
+        [
+            Polynomial(
+                nvars,
+                {
+                    rng.choice(monos): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                    for _ in range(rng.randint(0, 3))
+                },
+            )
+            for _ in range(n)
+        ]
+        for _ in range(n)
+    ]
+
+
+def test_mat_mul_is_the_truncated_matrix_product():
+    from lctlab.equiv import _mat_mul
+
+    rng = random.Random(5)
+    for _ in range(20):
+        n, nvars, order = rng.choice((2, 3)), rng.choice((1, 2, 3)), rng.randint(1, 8)
+        X = random_matrix(rng, n, nvars, 0, 4)
+        Y = random_matrix(rng, n, nvars, 0, 4)
+        got = _mat_mul(X, Y, order)
+        for i in range(n):
+            for j in range(n):
+                full = Polynomial.zero(nvars)
+                for k in range(n):
+                    full = full + X[i][k] * Y[k][j]
+                assert got[i][j] == full.truncate(order)
+
+
+def test_newton_inverse_matches_the_neumann_series():
+    from lctlab.equiv import _newton_inverse
+
+    rng = random.Random(2024)
+    for _ in range(40):
+        n, nvars, order = rng.choice((2, 3)), rng.choice((1, 2, 3)), rng.randint(1, 10)
+        E = random_matrix(rng, n, nvars, 1, 3)
+        B = _newton_inverse(E, order)
+        assert B == neumann_inverse(E, order), (n, nvars, order)
+        for i in range(n):
+            for j in range(n):
+                assert B[i][j].total_degree() < order
+                prod = B[i][j]  # (I + E) * B, entry (i, j)
+                for k in range(n):
+                    prod = prod + E[i][k].mul_truncated(B[k][j], order)
+                assert prod == Polynomial.constant(nvars, int(i == j))
+
+
+_PINNED_X_ORDER12 = (
+    "-38699/59049*x1^11 - 8432218/1594323*x1^10*x2 - 5913124/531441*x1^9*x2^2 - "
+    "2054665/177147*x1^8*x2^3 - 6301298/531441*x1^7*x2^4 - "
+    "16569541/1594323*x1^6*x2^5 - 12584816/1594323*x1^5*x2^6 - "
+    "8262740/1594323*x1^4*x2^7 - 5136079/1594323*x1^3*x2^8 - "
+    "299936/177147*x1^2*x2^9 - 1529599/1594323*x1*x2^10 - 615862/1594323*x2^11 - "
+    "496727/531441*x1^10 - 4365970/531441*x1^9*x2 - 3014551/177147*x1^8*x2^2 - "
+    "2308027/177147*x1^7*x2^3 - 2260970/177147*x1^6*x2^4 - 611450/59049*x1^5*x2^5 -"
+    " 3360802/531441*x1^4*x2^6 - 2002205/531441*x1^3*x2^7 - "
+    "1070251/531441*x1^2*x2^8 - 158660/177147*x1*x2^9 - 194476/531441*x2^10 - "
+    "835/59049*x1^9 - 1127/6561*x1^8*x2 - 27014/59049*x1^7*x2^2 - "
+    "42790/177147*x1^6*x2^3 - 56366/177147*x1^5*x2^4 - 12010/59049*x1^4*x2^5 - "
+    "22834/177147*x1^3*x2^6 - 18589/177147*x1^2*x2^7 - 8650/177147*x1*x2^8 - "
+    "3587/177147*x2^9 + 353/19683*x1^8 + 1202/6561*x1^7*x2 + 2027/6561*x1^6*x2^2 + "
+    "2371/19683*x1^5*x2^3 + 1111/6561*x1^4*x2^4 + 748/19683*x1^3*x2^5 + "
+    "997/19683*x1^2*x2^6 + 791/19683*x1*x2^7 + 32/2187*x2^8 - 151/6561*x1^7 - "
+    "1270/6561*x1^6*x2 - 121/729*x1^5*x2^2 - 223/2187*x1^4*x2^3 - 89/2187*x1^3*x2^4"
+    " + 77/6561*x1^2*x2^5 - 181/6561*x1*x2^6 - 56/6561*x2^7 + 22/729*x1^6 + "
+    "151/729*x1^5*x2 + 5/243*x1^4*x2^2 + 89/729*x1^3*x2^3 - 1/729*x1^2*x2^4 + "
+    "1/243*x2^6 - 10/243*x1^5 - 19/81*x1^4*x2 - 5/243*x1^3*x2^2 - 10/81*x1^2*x2^3 +"
+    " 2/243*x1*x2^4 + 5/81*x1^4 + 1/3*x1^3*x2 + 4/81*x1^2*x2^2 - 1/81*x2^4 - "
+    "1/9*x1^3 - 1/9*x1*x2^2 + 1/3*x1^2 + 1/3*x2^2 + x1"
+)
+
+_PINNED_Y_ORDER12 = (
+    "14575/1594323*x1^11 + 24625/1594323*x1^10*x2 - 711583/531441*x1^9*x2^2 - "
+    "6601517/1594323*x1^8*x2^3 - 6773606/1594323*x1^7*x2^4 - "
+    "6073610/1594323*x1^6*x2^5 - 5498867/1594323*x1^5*x2^6 - "
+    "4006679/1594323*x1^4*x2^7 - 2811394/1594323*x1^3*x2^8 - "
+    "523061/531441*x1^2*x2^9 - 985144/1594323*x1*x2^10 - 574784/1594323*x2^11 - "
+    "128528/531441*x1^10 - 155774/59049*x1^9*x2 - 3771794/531441*x1^8*x2^2 - "
+    "1382338/177147*x1^7*x2^3 - 1252100/177147*x1^6*x2^4 - 3437194/531441*x1^5*x2^5"
+    " - 845842/177147*x1^4*x2^6 - 1682308/531441*x1^3*x2^7 - "
+    "992125/531441*x1^2*x2^8 - 67901/59049*x1*x2^9 - 315073/531441*x2^10 + "
+    "1807/59049*x1^9 - 3557/177147*x1^8*x2 - 43501/177147*x1^7*x2^2 - "
+    "3313/59049*x1^6*x2^3 - 24701/177147*x1^5*x2^4 - 15542/177147*x1^4*x2^5 - "
+    "2723/177147*x1^3*x2^6 - 6673/177147*x1^2*x2^7 - 2458/59049*x1*x2^8 - "
+    "203/19683*x2^9 - 203/19683*x1^8 + 2488/19683*x1^7*x2 + 3853/19683*x1^6*x2^2 + "
+    "2117/19683*x1^5*x2^3 + 115/729*x1^4*x2^4 + 157/19683*x1^3*x2^5 + "
+    "496/19683*x1^2*x2^6 + 794/19683*x1*x2^7 + 274/19683*x2^8 - 85/6561*x1^7 - "
+    "1060/6561*x1^6*x2 - 275/2187*x1^5*x2^2 - 1084/6561*x1^4*x2^3 - "
+    "152/2187*x1^3*x2^4 - 8/729*x1^2*x2^5 - 256/6561*x1*x2^6 - 121/6561*x2^7 + "
+    "19/729*x1^6 + 41/243*x1^5*x2 + 95/729*x1^4*x2^2 + 83/729*x1^3*x2^3 + "
+    "7/243*x1^2*x2^4 + 28/729*x1*x2^5 + 2/81*x2^6 - 10/243*x1^5 - 40/243*x1^4*x2 - "
+    "17/243*x1^3*x2^2 - 11/243*x1^2*x2^3 - 10/243*x1*x2^4 - 8/243*x2^5 + 5/81*x1^4 "
+    "+ 2/27*x1^3*x2 + 4/81*x1^2*x2^2 + 2/27*x1*x2^3 + 4/81*x2^4 - 1/9*x1^3 - "
+    "1/9*x1*x2^2 - 1/9*x2^3 + 1/3*x2^2 + x2"
+)
+
+
+def test_tougeron_map_is_pinned_at_order_12():
+    # the maps the Neumann-series transport produced, which every rewrite of
+    # the witness transport must reproduce exactly
+    f = P("x^3 + y^3", 2)
+    g = P("x^4 + x^2*y^2 + y^4 + x^5*y", 2)
+    psi = tougeron(f, jf2_witness(f, g, 12), 12)
+    assert [str(im.poly) for im in psi.images] == [_PINNED_X_ORDER12, _PINNED_Y_ORDER12]
+    assert verify_map(f, TruncatedSeries(f + g, 12), psi, 12) == (True, None)
+
+
+def test_not_member_witness_is_refused_with_its_order():
+    f = P("x^3 + y^3", 2)
+    wit = membership_truncated(P("x^3", 2), ideal_power(jacobian_ideal(f), 2), 8)
+    assert isinstance(wit, NotMember)
+    with pytest.raises(ValueError, match=r"m\^8"):
+        tougeron(f, wit, 8)
+    f = P("x^2 + y^3", 2)
+    wit = membership_truncated(P("y^3", 2), ideal_power(jacobian_ideal(f), 2), 9)
+    assert isinstance(wit, NotMember)
+    with pytest.raises(ValueError, match=r"m\^9"):
+        formal_equiv_rank2(f, wit, 9)
+
+
+def test_rank2_with_rank_zero_is_plain_absorption():
+    f = P("x^3 + y^3", 2)
+    g = P("x^4 + x^2*y^2", 2)
+    res = formal_equiv_rank2(f, jf2_witness(f, g, 12), 12)
+    assert res.rank == 0 and res.diag_coeffs == []
+    assert res.residual.poly == f
+    assert res.steps == [
+        "linear diagonalization of the perturbed quadratic part",
+        "absorption of the residual perturbation",
+    ]
+    assert verify_map(f + g, res.normal_form(), res.map, 12) == (True, None)
+
+
+def test_per_step_check_catches_a_wrong_transition_inverse(monkeypatch):
+    import lctlab.equiv as equiv
+
+    def first_order_inverse(E, order):  # I - E: right mod m^2 only
+        one = Polynomial.constant(E[0][0].nvars, 1)
+        return [[int(i == j) * one - e for j, e in enumerate(row)] for i, row in enumerate(E)]
+
+    monkeypatch.setattr(equiv, "_newton_inverse", first_order_inverse)
+    f = P("x^3 + y^3", 2)
+    w = jf2_witness(f, P("x^4 + x^2*y^2 + y^4 + x^5*y", 2), 16)
+    with pytest.raises(AssertionError, match="witness lost track"):
+        tougeron(f, w, 16)
