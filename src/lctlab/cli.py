@@ -25,6 +25,7 @@ from .budget import BudgetExceededError, resolve_budget
 from .equiv import RankDropError, morsify, tougeron, verify_map
 from .expsum import (
     count_solutions,
+    decay_exponent,
     decay_profile,
     exp_sum,
     exp_sum_restricted,
@@ -52,6 +53,7 @@ from .polyring import (
     ParseError,
     Polynomial,
     TruncatedSeries,
+    infer_nvars,
     parse_poly,
     poly_to_string,
 )
@@ -77,22 +79,6 @@ COR_D_CORPUS = [
     ("x^4,x*y^2,y^4", 2),
     ("x1^4,x2^4,x3^4", 3),
 ]
-
-_VAR_LETTERS = {"x": 1, "y": 2, "z": 3, "w": 4}
-
-
-def infer_nvars(text: str) -> int:
-    """Largest variable index mentioned in a polynomial or ideal string."""
-    import re
-
-    best = 1
-    for m in re.finditer(r"[xyzw]\d*", text):
-        tok = m.group(0)
-        if len(tok) > 1 and tok[0] == "x":
-            best = max(best, int(tok[1:]))
-        else:
-            best = max(best, _VAR_LETTERS[tok[0]])
-    return best
 
 
 def parse_ideal(text: str, nvars: int) -> IdealGens:
@@ -169,7 +155,7 @@ def emit_report(command: str, config: dict, results, fmt: str, out=None):
 
 
 # ----------------------------------------------------------------------
-# subcommand handlers; each returns (results, ok)
+# subcommand handlers; each returns its result rows and raises on failure
 
 
 def _cmd_lct(args):
@@ -186,7 +172,7 @@ def _cmd_lct(args):
                 "witness": {"a": cert.witness.a, "b": cert.witness.b},
                 "provenance": "reference",
             }
-        ], True
+        ]
     if args.kind == "det":
         if args.n is None or args.n < 2:
             raise ValueError("lct det needs --n >= 2")
@@ -200,7 +186,7 @@ def _cmd_lct(args):
                 "alpha": Fraction(2),
                 "provenance": "reference",
             }
-        ], True
+        ]
     if args.kind == "monomial":
         if not args.ideal:
             raise ValueError("lct monomial needs --ideal")
@@ -210,7 +196,7 @@ def _cmd_lct(args):
         print(value)
         return [
             {"ideal": str(a), "lct": value, "provenance": "derived"}
-        ], True
+        ]
     raise ValueError(f"unknown lct kind {args.kind!r}")
 
 
@@ -231,7 +217,7 @@ def _cmd_morsify(args):
             "verified": True,
             "provenance": "derived",
         }
-    ], True
+    ]
 
 
 def _cmd_tougeron(args):
@@ -257,7 +243,7 @@ def _cmd_tougeron(args):
             "verified": True,
             "provenance": "derived",
         }
-    ], True
+    ]
 
 
 def _cmd_milnor(args):
@@ -271,7 +257,7 @@ def _cmd_milnor(args):
     else:
         row["mu"] = repr(mu)
         print(repr(mu))
-    return [row], True
+    return [row]
 
 
 def _cmd_jets(args):
@@ -288,7 +274,7 @@ def _cmd_jets(args):
             "density": density,
             "provenance": "direct",
         }
-    ], True
+    ]
 
 
 def _cmd_expsum(args):
@@ -299,11 +285,6 @@ def _cmd_expsum(args):
         e = exp_sum_restricted(f, args.p, args.m, z, budget=args.budget)
     else:
         e = exp_sum(f, args.p, args.m, budget=args.budget)
-    sigma = None
-    if args.m >= 2 and abs(e) > 1e-12:
-        sigma = -math.log(abs(e)) / (args.m * math.log(args.p))
-    elif args.m >= 2:
-        sigma = math.inf
     return [
         {
             "p": args.p,
@@ -311,10 +292,10 @@ def _cmd_expsum(args):
             "re": e.real,
             "im": e.imag,
             "abs": abs(e),
-            "sigma_m": sigma,
+            "sigma_m": decay_exponent(e, args.p, args.m),
             "provenance": "direct",
         }
-    ], True
+    ]
 
 
 def _cmd_decay(args):
@@ -328,7 +309,7 @@ def _cmd_decay(args):
     for row in rows:
         row["flagged"] = row["m"] in prof.flagged
         row["provenance"] = "derived"
-    return rows, True
+    return rows
 
 
 def _cmd_igusa(args):
@@ -349,7 +330,7 @@ def _cmd_igusa(args):
     }
     if not rep.all_hold and not rep.warnings:
         raise CheckFailure(f"identity check failed: {row['checks']}")
-    return [row], rep.all_hold or bool(rep.warnings)
+    return [row]
 
 
 def _cmd_nk(args):
@@ -358,7 +339,7 @@ def _cmd_nk(args):
     nk = count_solutions(f, args.p, args.k, budget=args.budget)
     return [
         {"p": args.p, "k": args.k, "nk": nk, "provenance": "direct"}
-    ], True
+    ]
 
 
 def _cmd_check(args):
@@ -390,7 +371,7 @@ def _cmd_check(args):
             ok = add(check_theorems("determinantal", n)) and ok
         if not ok:
             raise CheckFailure("a family regime check failed")
-        return rows, ok
+        return rows
     if args.what == "corD":
         entries = (
             [(args.ideal, args.nvars or infer_nvars(args.ideal))]
@@ -416,7 +397,7 @@ def _cmd_check(args):
                 ok = ok and bool(rep.equal)
         if not ok:
             raise CheckFailure("derived-ideal closure check failed")
-        return rows, ok
+        return rows
     if args.what == "milnor":
         rows = []
         ok = True
@@ -446,7 +427,7 @@ def _cmd_check(args):
                 ok = ok and good
         if not ok:
             raise CheckFailure("Milnor grid check failed")
-        return rows, ok
+        return rows
     raise ValueError(f"unknown check {args.what!r}")
 
 
@@ -485,7 +466,7 @@ def _cmd_selftest(args):
         ok = ok and good
     if not ok:
         raise CheckFailure("selftest failed")
-    return rows, ok
+    return rows
 
 
 # ----------------------------------------------------------------------
@@ -573,7 +554,7 @@ def emit_golden_tables(outdir: str, seed: int = DEFAULT_SEED):
 
 def _cmd_golden(args):
     written = emit_golden_tables(args.out, seed=args.seed)
-    return [{"written": written, "provenance": "direct"}], True
+    return [{"written": written, "provenance": "direct"}]
 
 
 # ----------------------------------------------------------------------
@@ -700,7 +681,7 @@ def main(argv=None) -> int:
         return 2
     try:
         _check_padic_args(args, config["budget"])
-        results, ok = args.func(args)
+        results = args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
@@ -715,7 +696,7 @@ def main(argv=None) -> int:
             emit_report(args.command, config, results, args.format, out=fh)
     else:
         emit_report(args.command, config, results, args.format)
-    return 0 if ok else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -11,19 +11,22 @@ makes |E| accurate to ~1e-12 regardless of how many points were counted,
 and makes all the set-identity checks exact integer comparisons of
 histograms followed by a single root-of-unity evaluation of the difference.
 
-The recursion evaluates f and its gradient on the p^n residues x0 mod p.
-Where the gradient is nonzero mod p, Hensel's lemma spreads the p^((m-1)n)
-points of the tube x = x0 (mod p) evenly over the residues c = f(x0)
-(mod p), so the tube is counted in closed form.  Only tubes over singular
-residues recurse, through the exact Taylor shift f(x0 + p y) - f(x0),
-which is divisible by p^2 there (Igusa's stationary-phase formula).
+One census, ``_tube_counts``, counts every histogram.  It evaluates f and
+its gradient on the residues x0 mod q = p^level (level 1 unless a caller
+needs a finer grid).  Where the gradient is nonzero mod p, Hensel's lemma
+spreads the p^((m-level)n) points of the tube x = x0 (mod q) evenly over
+the residues c = f(x0) (mod q), so the tube is counted in closed form.
+Only tubes over singular residues recurse, through the exact Taylor shift
+f(x0 + q y) - f(x0), which is divisible by p^(level+1) there (Igusa's
+stationary-phase formula); no code enumerates (Z/p^m)^n.
 
 Restricted sums fix the reduction of x modulo p to the zero locus of a list
 of polynomials; they are the discrete form of integrals over residue tubes.
 The identity checks compare the restricted sum against the same sum cut to
 high-vanishing loci of f and of (f) + J_f^2, and test the coset-vanishing
 statement that drives them; all three are stated for residue characteristics
-that are large for f, so below the threshold failures are warnings.
+that are large for f, so below the threshold failures are warnings.  Both
+cuts depend on x mod p^(m-1) only: the census at level m - 1 counts them.
 """
 
 from __future__ import annotations
@@ -87,17 +90,6 @@ def _eval_terms_mod(terms, grids, modulus):
     return total
 
 
-def _axis_grids(nvars, first_value, m_mod):
-    """Coordinate arrays: axis 0 is pinned to first_value, the rest run over
-    the full residue range, broadcast into shape (1, M, M, ...)."""
-    grids = [np.int64(first_value)]
-    for axis in range(1, nvars):
-        shape = [1] * nvars
-        shape[axis] = m_mod
-        grids.append(np.arange(m_mod, dtype=np.int64).reshape(shape))
-    return grids
-
-
 @dataclass
 class ResidueHistogram:
     """Exact counts of {x : f(x) = c mod p^m}, one bin per residue c."""
@@ -119,22 +111,22 @@ class ResidueHistogram:
         return self.total == self.p ** (self.m * self.nvars)
 
 
-def _residue_grids(nvars, p):
-    """Coordinate arrays of the p^n residues mod p, axis i running over x_i."""
+def _residue_grids(nvars, q):
+    """Coordinate arrays of the q^n residues mod q, axis i running over x_i."""
     return [
-        np.arange(p, dtype=np.int64).reshape([p if j == i else 1 for j in range(nvars)])
+        np.arange(q, dtype=np.int64).reshape([q if j == i else 1 for j in range(nvars)])
         for i in range(nvars)
     ]
 
 
-def _taylor_shift(terms, x0, p):
-    """Exact integer coefficients of f(x0 + p y) - f(x0), f given by terms."""
+def _taylor_shift(terms, x0, q):
+    """Exact integer coefficients of f(x0 + q y) - f(x0), f given by terms."""
     out = {}
     for mono, coeff in terms:
         parts = {(): coeff}
         for xi, e in zip(x0, mono):
             parts = {
-                a + (j,): c * math.comb(e, j) * xi ** (e - j) * p**j
+                a + (j,): c * math.comb(e, j) * xi ** (e - j) * q**j
                 for a, c in parts.items()
                 for j in range(e + 1)
             }
@@ -152,61 +144,67 @@ def _valuation(c, p):
     return k
 
 
-def _tube_counts(f: Polynomial, p, m, mask_fn=None):
-    """counts[c] = #{x in (Z/p^m)^n : f(x) = c mod p^m}.
+def _tube_counts(f: Polynomial, p, m, mask_fn=None, level=1):
+    """counts[c] = #{x in (Z/p^m)^n : f(x) = c mod p^m}, over residues mod q.
 
-    Each tube x = x0 (mod p) over a residue where the gradient is nonzero
-    mod p holds p^((m-1)(n-1)) points per residue c = f(x0) mod p (Hensel).
-    Over a singular x0 the shift f(x0 + p y) - f(x0) is p^k H(y) with
-    k >= 2 (or zero), and the tube is the histogram of H at level m - k,
-    each value taken p^((k-1)n) times, placed at f(x0) + p^k c.
+    The census runs over the tubes x = x0 (mod q), q = p^level.  A tube over
+    a residue where the gradient is nonzero mod p holds p^((m-level)(n-1))
+    points per residue c = f(x0) mod q (Hensel).  Over a singular x0 the
+    shift f(x0 + q y) - f(x0) is p^k H(y) with k > level (or zero), and the
+    tube is the histogram of H at level m - k, each value taken
+    p^((k-level)n) times, placed at f(x0) + p^k c.  So for m <= level + 1
+    every singular tube sits on f(x0), and nothing recurses.
     """
     n = f.nvars
     modulus = p**m
+    q = p**level
     terms = _int_terms(f)
-    grids = _residue_grids(n, p)
-    shape = (p,) * n
+    grids = _residue_grids(n, q)
+    shape = (q,) * n
     vals = np.broadcast_to(_eval_terms_mod(terms, grids, modulus), shape)
     singular = np.ones(shape, dtype=bool)
     for i in range(1, n + 1):
         df = _int_terms(partial_derivative(f, i))
         singular &= np.broadcast_to(_eval_terms_mod(df, grids, p), shape) == 0
-    keep = (
-        np.ones(shape, dtype=bool)
-        if mask_fn is None
-        else np.broadcast_to(mask_fn(grids), shape)
-    )
-    smooth = np.bincount(vals[keep & ~singular] % p, minlength=p)
-    counts = np.tile(smooth * p ** ((m - 1) * (n - 1)), p ** (m - 1))
-    for x0 in np.argwhere(keep & singular):
+    keep = np.broadcast_to(True if mask_fn is None else mask_fn(grids), shape)
+    smooth = np.bincount(vals[keep & ~singular] % q, minlength=q)
+    counts = np.tile(smooth * p ** ((m - level) * (n - 1)), p ** (m - level))
+    singular &= keep
+    if m <= level + 1:
+        counts += np.bincount(vals[singular], minlength=modulus) * p ** ((m - level) * n)
+        return counts
+    for x0 in np.argwhere(singular):
         x0 = tuple(int(v) for v in x0)
         v = int(vals[x0])
-        # k >= 2, so below m = 3 the whole tube sits on f(x0)
-        shift = _taylor_shift(terms, x0, p) if m > 2 else {}
+        shift = _taylor_shift(terms, x0, q)
         k = min((_valuation(c, p) for c in shift.values()), default=m)
         if k >= m:
-            counts[v] += p ** ((m - 1) * n)
+            counts[v] += p ** ((m - level) * n)
             continue
         pk = p**k
         h = Polynomial(n, {a: c // pk for a, c in shift.items()})
         sub = _tube_counts(h, p, m - k)
-        counts[(v + pk * np.arange(p ** (m - k))) % modulus] += sub * p ** ((k - 1) * n)
+        counts[(v + pk * np.arange(p ** (m - k))) % modulus] += sub * p ** ((k - level) * n)
     return counts
 
 
-def _histogram(f: Polynomial, p: int, m: int, budget=None, mask_fn=None):
-    """Histogram of f over (Z/p^m)^n by the stationary-phase recursion.
-
-    ``mask_fn(grids) -> bool array`` optionally restricts the census; it is
-    applied to the residues mod p, so it must depend on x mod p only.
-    """
-    n = f.nvars
-    volume = (p**m) ** n
+def _check_volume(p, m, n, budget):
+    """Refuse a census of (Z/p^m)^n over the budget or past int64 counts."""
+    volume = p ** (m * n)
     check_budget(volume, budget, what="residue enumeration", unit="points")
     if volume > _INT64_MAX:
         raise ValueError(f"{volume} points overflow the int64 histogram counts")
-    counts = _tube_counts(f, p, m, mask_fn)
-    return ResidueHistogram(p, m, n, counts)
+
+
+def _histogram(f: Polynomial, p: int, m: int, budget=None, mask_fn=None, level=1):
+    """Histogram of f over (Z/p^m)^n by the stationary-phase recursion.
+
+    ``mask_fn(grids) -> bool array`` optionally restricts the census; it is
+    applied to the residues mod p^level, so it must depend on x mod p^level
+    only.
+    """
+    _check_volume(p, m, f.nvars, budget)
+    return ResidueHistogram(p, m, f.nvars, _tube_counts(f, p, m, mask_fn, level))
 
 
 def residue_histogram(f: Polynomial, p: int, m: int, budget=None) -> ResidueHistogram:
@@ -337,16 +335,20 @@ def igusa_identity_check(
         Jacobian-square ideal does not, the sum over the half-level coset
         vanishes ("vacuous" when no such point exists).
 
-    Differences are formed exactly at histogram level and only then mapped
-    through the roots of unity.  Small residue characteristics (p at or
-    below 2 * deg(f) * nvars by default) are outside the stated range, so
-    failures there are downgraded to warnings in the report.
+    The three histograms come from the tube census: the restricted one at
+    level 1, cut (1) as its bins c = 0 mod p^(m-1), and cut (2) at level
+    m - 1 with both cuts read on the residues mod p^(m-1); the sample point
+    is the lexicographically first such residue.  Differences are formed
+    exactly at histogram level and only then mapped through the roots of
+    unity.  Small residue characteristics (p at or below 2 * deg(f) * nvars
+    by default) are outside the stated range, so failures there are
+    downgraded to warnings in the report.
     """
     if m < 2:
         raise ValueError("identity checks need m >= 2")
     n = f.nvars
     modulus = p**m
-    check_budget(modulus**n, budget, what="residue enumeration", unit="points")
+    _check_volume(p, m, n, budget)
     warnings = []
     threshold = default_min_p(f) if min_p is None else min_p
     if p <= threshold:
@@ -356,52 +358,28 @@ def igusa_identity_check(
         )
     terms = _int_terms(f)
     jf2 = ideal_power(jacobian_ideal(f), 2)
-    jterms = [_int_terms(g) for g in jf2.gens]
     zmask = _reduction_mask(z_gens, p)
-    pm1 = p ** (m - 1)
 
-    hist_z = np.zeros(modulus, dtype=np.int64)
-    hist_z_f = np.zeros(modulus, dtype=np.int64)
-    hist_z_fj = np.zeros(modulus, dtype=np.int64)
-    sample = None
+    # both cuts depend on x mod q only, so they are read on the residues mod q
+    q = p ** (m - 1)
+    grids = _residue_grids(n, q)
+    shape = (q,) * n
+    fcut = np.broadcast_to(_eval_terms_mod(terms, grids, q) == 0, shape)
+    jcut = np.ones(shape, dtype=bool)
+    for g in jf2.gens:
+        jcut &= np.broadcast_to(_eval_terms_mod(_int_terms(g), grids, q) == 0, shape)
+    # every x is componentwise >= x mod q, so the first point of the cut
+    # (Z/p^m)^n in lexicographic order is its first residue mod q
+    off_j = (fcut & ~jcut).ravel()
+    first = int(off_j.argmax())
+    sample = tuple(map(int, np.unravel_index(first, shape))) if off_j[first] else None
+    cut = fcut & jcut if zmask is None else fcut & jcut & zmask(grids)
 
-    def scan(grids, shape, lead):
-        nonlocal sample
-        vals = np.broadcast_to(_eval_terms_mod(terms, grids, modulus), shape)
-        keep = (
-            np.broadcast_to(zmask(grids), shape)
-            if zmask is not None
-            else np.ones(shape, dtype=bool)
-        )
-        ordf = vals % pm1 == 0
-        jvanish = np.ones(shape, dtype=bool)
-        for jt in jterms:
-            jv = np.broadcast_to(_eval_terms_mod(jt, grids, modulus), shape)
-            jvanish &= jv % pm1 == 0
-        h0 = np.bincount(vals[keep], minlength=modulus)
-        h1 = np.bincount(vals[keep & ordf], minlength=modulus)
-        h2 = np.bincount(vals[keep & ordf & jvanish], minlength=modulus)
-        if sample is None:
-            hits = np.argwhere(ordf & ~jvanish)
-            if len(hits):
-                point = tuple(int(v) for v in hits[0])
-                sample = point if lead is None else (lead,) + point[1:]
-        return h0, h1, h2
-
-    if n == 1:
-        xs = np.arange(modulus, dtype=np.int64)
-        h0, h1, h2 = scan([xs], xs.shape, lead=None)
-        hist_z += h0
-        hist_z_f += h1
-        hist_z_fj += h2
-    else:
-        shape = tuple(modulus if i > 0 else 1 for i in range(n))
-        for x1 in range(modulus):
-            grids = _axis_grids(n, x1, modulus)
-            h0, h1, h2 = scan(grids, shape, lead=x1)
-            hist_z += h0
-            hist_z_f += h1
-            hist_z_fj += h2
+    hist_z = _histogram(f, p, m, budget, zmask).counts
+    hist_z_f = np.zeros_like(hist_z)
+    hist_z_f[::q] = hist_z[::q]  # cut (1) keeps the values c = 0 mod q
+    # the census at level m - 1 runs over these same residues mod q
+    hist_z_fj = _histogram(f, p, m, budget, lambda _: cut, level=m - 1).counts
     norm = p ** (m * n)
 
     def value_of(delta_counts):
@@ -409,8 +387,6 @@ def igusa_identity_check(
 
     d1 = abs(value_of(hist_z - hist_z_f))
     d2 = abs(value_of(hist_z_f - hist_z_fj))
-    efz1 = d1 < tol
-    efzj = d2 < tol
 
     orth = "vacuous"
     orth_value = None
@@ -428,17 +404,7 @@ def igusa_identity_check(
         orth_value = abs(acc) / norm
         orth = orth_value < tol
 
-    return IgusaReport(
-        p=p,
-        m=m,
-        efz1=efz1,
-        efzj=efzj,
-        orth=orth,
-        delta_efz1=d1,
-        delta_efzj=d2,
-        orth_value=orth_value,
-        warnings=warnings,
-    )
+    return IgusaReport(p, m, d1 < tol, d2 < tol, orth, d1, d2, orth_value, warnings)
 
 
 # ----------------------------------------------------------------------
@@ -484,6 +450,15 @@ class ExpSumProfile:
 _ZERO_CUTOFF = 1e-12  # |E| below this is treated as exact cancellation
 
 
+def decay_exponent(e: complex, p: int, m: int) -> Optional[float]:
+    """sigma_m = -log|E| / (m log p) for m >= 2, +inf for |E| below the
+    cancellation cutoff, None at level 1."""
+    if m < 2:
+        return None
+    a = abs(e)
+    return math.inf if a < _ZERO_CUTOFF else -math.log(a) / (m * math.log(p))
+
+
 def decay_profile(
     f: Polynomial,
     p: int,
@@ -498,13 +473,9 @@ def decay_profile(
     for m in range(1, mmax + 1):
         e = exp_sum(f, p, m, budget)
         values[m] = e
-        a = abs(e)
-        abs_values[m] = a
+        abs_values[m] = abs(e)
         if m >= 2:
-            if a < _ZERO_CUTOFF:
-                sigma[m] = math.inf
-            else:
-                sigma[m] = -math.log(a) / (m * math.log(p))
+            sigma[m] = decay_exponent(e, p, m)
             if lct_ref is not None and sigma[m] < float(lct_ref) - slack:
                 flagged.append(m)
     return ExpSumProfile(

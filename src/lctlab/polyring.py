@@ -626,7 +626,18 @@ class ParseError(ValueError):
 
 _LETTER_VARS = {"x": 1, "y": 2, "z": 3, "w": 4}
 
-_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<var>[xyzw]\d*)|(?P<op>[-+*/^()])")
+_TOKEN_RE = re.compile(r"(?P<num>\d+)|(?P<var>x\d+|[xyzw])|(?P<op>[-+*/^()])")
+
+
+def _var_number(name: str) -> int:
+    """Index of a variable token: k for ``x<k>``, 1-4 for ``x y z w``."""
+    return int(name[1:]) if len(name) > 1 else _LETTER_VARS[name]
+
+
+def infer_nvars(text: str) -> int:
+    """Largest variable index mentioned in a polynomial or ideal string."""
+    names = (t.group("var") for t in _TOKEN_RE.finditer(text))
+    return max([1] + [_var_number(name) for name in names if name])
 
 
 def _tokenize(text: str):
@@ -743,12 +754,9 @@ class _Parser:
         raise ParseError(f"expected a number, variable, or '('", off)
 
     def _var_index(self, name: str, offset: int) -> int:
-        if len(name) > 1 and name[0] == "x":
-            idx = int(name[1:])
-            if idx < 1:
-                raise ParseError("variable indices are 1-based", offset)
-        else:
-            idx = _LETTER_VARS[name]
+        idx = _var_number(name)
+        if idx < 1:
+            raise ParseError("variable indices are 1-based", offset)
         if idx > self.nvars:
             raise ParseError(
                 f"variable x{idx} out of range for nvars={self.nvars}", offset

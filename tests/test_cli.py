@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from lctlab.cli import emit_golden_tables, infer_nvars, main
+from lctlab.cli import build_parser, emit_golden_tables, infer_nvars, main
 
 
 def run(capsys, *argv):
@@ -254,3 +254,37 @@ def test_invalid_padic_input_is_a_usage_error(capsys, argv):
     assert code == 2
     assert "usage error" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("poly,p", [("x^3 + y^3", 7), ("x", 5)])
+def test_expsum_and_decay_share_the_sigma_rule(capsys, poly, p):
+    code, out, _ = run(capsys, "decay", "--poly", poly, "--p", str(p), "--mmax", "3")
+    assert code == 0
+    profile = {row["m"]: row["sigma_m"] for row in json.loads(out)["results"]}
+    for m in (1, 2, 3):
+        code, out, _ = run(capsys, "expsum", "--poly", poly, "--p", str(p), "--m", str(m))
+        assert code == 0
+        assert json.loads(out)["results"][0]["sigma_m"] == profile[m]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["igusa-check", "--poly", "x^2", "--p", "3", "--m", "2"],  # warned, not failed
+        ["lct", "det", "--n", "3"],
+        ["check", "milnor"],
+    ],
+)
+def test_handlers_return_only_their_rows(capsys, argv):
+    args = build_parser().parse_args(argv)
+    rows = args.func(args)
+    capsys.readouterr()
+    assert isinstance(rows, list) and rows and all(isinstance(r, dict) for r in rows)
+
+
+def test_indexed_letter_is_a_usage_error(capsys):
+    # "y2" is y times 2 written without "*", not a variable
+    assert infer_nvars("y2^2 + x^3") == 2
+    code, _, err = run(capsys, "milnor", "--poly", "y2^2 + x^3")
+    assert code == 2
+    assert "implicit multiplication" in err

@@ -9,6 +9,7 @@ from fractions import Fraction
 from lctlab.budget import BudgetExceededError
 from lctlab.expsum import (
     count_solutions,
+    decay_exponent,
     decay_profile,
     exp_sum,
     exp_sum_restricted,
@@ -194,3 +195,12 @@ def test_decay_cubic_respects_threshold_bound():
     for m in (2, 3):
         assert prof.sigma[m] >= 2 / 3 - 0.15
     assert not prof.flagged
+
+
+def test_decay_exponent_is_the_one_sigma_rule():
+    assert decay_exponent(0.5 + 0j, 5, 1) is None
+    assert decay_exponent(0j, 5, 2) == math.inf
+    assert decay_exponent(complex(9e-13, 0), 5, 2) == math.inf
+    # exactly at the cutoff the value still counts as a measurement
+    assert decay_exponent(complex(1e-12, 0), 5, 2) == -math.log(1e-12) / (2 * math.log(5))
+    assert decay_exponent(complex(0, 5**-1.5), 5, 3) == pytest.approx(0.5)

@@ -1,10 +1,13 @@
 """The stationary-phase recursions against brute-force enumeration.
 
-The two oracles below are the enumerations that residue histograms and jet
-counts used before the recursion: every point of (Z/p^m)^n, and every child
-jet at every t-degree level.  Counts must agree exactly.
+The oracles below are the enumerations that residue histograms, jet counts
+and the restricted-sum identity checks used before the recursion: every
+point of (Z/p^m)^n, and every child jet at every t-degree level.  Counts
+must agree exactly, and identity reports must print identically.
 """
 
+import cmath
+import math
 import random
 from itertools import product
 
@@ -13,15 +16,18 @@ import pytest
 
 from lctlab.arcs import _poly_eval_jet, count_contact_jets
 from lctlab.expsum import (
+    IgusaReport,
     ResidueHistogram,
     _eval_terms_mod,
     _histogram,
     _int_terms,
     _reduction_mask,
+    default_min_p,
     exp_sum_from_histogram,
     exp_sum_restricted,
+    igusa_identity_check,
 )
-from lctlab.jacobian import IdealGens
+from lctlab.jacobian import IdealGens, ideal_power, jacobian_ideal
 from lctlab.polyring import Polynomial, parse_poly
 
 
@@ -46,6 +52,56 @@ def brute_histogram(f, p, m, mask_fn=None):
     if mask_fn is not None:
         vals = vals[np.broadcast_to(mask_fn(grids), vals.shape)]
     return np.bincount(vals, minlength=modulus)
+
+
+def brute_igusa(f, p, m, z_gens=None, min_p=None, tol=1e-9):
+    """igusa_identity_check by one scan of every point of (Z/p^m)^n."""
+    n = f.nvars
+    modulus = p**m
+    pm1 = p ** (m - 1)
+    warnings = []
+    threshold = default_min_p(f) if min_p is None else min_p
+    if p <= threshold:
+        warnings.append(
+            f"p={p} is not above the largeness threshold {threshold}; "
+            "identity failures here are reported but not fatal"
+        )
+    terms = _int_terms(f)
+    jf2 = ideal_power(jacobian_ideal(f), 2)
+    zmask = _reduction_mask(z_gens, p)
+    axes = np.indices((modulus,) * n).reshape(n, -1)
+    grids = list(axes)
+    shape = axes[0].shape
+    vals = np.broadcast_to(_eval_terms_mod(terms, grids, modulus), shape)
+    keep = np.ones(shape, dtype=bool) if zmask is None else np.broadcast_to(zmask(grids), shape)
+    ordf = vals % pm1 == 0
+    jvanish = np.ones(shape, dtype=bool)
+    for g in jf2.gens:
+        jv = np.broadcast_to(_eval_terms_mod(_int_terms(g), grids, modulus), shape)
+        jvanish &= jv % pm1 == 0
+    hist_z = np.bincount(vals[keep], minlength=modulus)
+    hist_z_f = np.bincount(vals[keep & ordf], minlength=modulus)
+    hist_z_fj = np.bincount(vals[keep & ordf & jvanish], minlength=modulus)
+    hits = np.flatnonzero(ordf & ~jvanish)
+    sample = tuple(int(a[hits[0]]) for a in axes) if len(hits) else None
+
+    def value_of(delta_counts):
+        return exp_sum_from_histogram(ResidueHistogram(p, m, n, delta_counts))
+
+    d1 = abs(value_of(hist_z - hist_z_f))
+    d2 = abs(value_of(hist_z_f - hist_z_fj))
+    orth, orth_value = "vacuous", None
+    if sample is not None:
+        step = p ** ((m + 1) // 2)
+        offs = np.indices((modulus // step,) * n).reshape(n, -1)
+        coset = [(sample[i] + offs[i] * step) % modulus for i in range(n)]
+        cvals = np.broadcast_to(_eval_terms_mod(terms, coset, modulus), offs[0].shape)
+        acc = 0j
+        for val in cvals.tolist():
+            acc += cmath.exp(2j * math.pi * val / modulus)
+        orth_value = abs(acc) / p ** (m * n)
+        orth = orth_value < tol
+    return IgusaReport(p, m, d1 < tol, d2 < tol, orth, d1, d2, orth_value, warnings)
 
 
 def brute_jets(gens, p, m, e):
@@ -117,6 +173,29 @@ def test_histogram_matches_enumeration_seeded(seed):
     assert _histogram(f, p, m).counts.tolist() == brute_histogram(f, p, m).tolist()
 
 
+def _level_case(seed):
+    rng = random.Random(4000 + seed)
+    n = rng.choice([1, 2, 3])
+    p = rng.choice([2, 3, 5, 7])
+    m = 2
+    while p ** ((m + 1) * n) <= 50000 and rng.random() < 0.8:
+        m += 1
+    return _random_poly(rng, n, 4), p, m
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(P(text, n), p, m) for text, n, p, m in HISTOGRAM_CASES]
+    + [_level_case(seed) for seed in range(40)],
+)
+def test_histogram_at_every_level_matches_enumeration(case):
+    # tubes over residues mod p^j count the same points for every j < m
+    f, p, m = case
+    oracle = brute_histogram(f, p, m).tolist()
+    for level in range(1, m):
+        assert _histogram(f, p, m, level=level).counts.tolist() == oracle, level
+
+
 RESTRICTED_CASES = [
     ("x^3 + y^3", 2, 5, 3, ("x", "y")),
     ("x^3 + y^3", 2, 7, 2, ("x + y",)),
@@ -137,6 +216,78 @@ def test_restricted_sum_matches_enumeration(text, n, p, m, zs):
     assert counts.tolist() == oracle.tolist()
     expected = exp_sum_from_histogram(ResidueHistogram(p, m, n, oracle))
     assert exp_sum_restricted(f, p, m, z) == expected
+
+
+@pytest.mark.parametrize("text,n,p,m,zs", RESTRICTED_CASES)
+def test_restricted_census_at_every_level_matches_enumeration(text, n, p, m, zs):
+    # the reduction mask depends on x mod p, so it also cuts finer grids
+    f = P(text, n)
+    mask = _reduction_mask(ideal(n, *zs), p)
+    oracle = brute_histogram(f, p, m, mask_fn=mask).tolist()
+    for level in range(1, m):
+        assert _histogram(f, p, m, mask_fn=mask, level=level).counts.tolist() == oracle
+
+
+# ---------------------------------------------------------------- identity checks
+
+
+IGUSA_CASES = [
+    ("x^2", 1, 5, 3, ()),
+    ("x^3", 1, 3, 4, ()),
+    ("3*x^2", 1, 3, 5, ()),
+    ("x^2 + 1", 1, 5, 3, ("x^2 + 1",)),
+    ("x^2 + y^3", 2, 5, 2, ()),
+    ("x^3 + y^3", 2, 7, 2, ()),
+    ("x^3 + y^3", 2, 2, 4, ("x", "y")),
+    ("x*y", 2, 3, 3, ()),
+    ("x^2 - y^3", 2, 3, 3, ("y",)),
+    ("x^5 + y^5", 2, 11, 2, ()),
+    ("x^4 + y^4", 2, 2, 5, ()),
+    ("x^3 + y^3 + 4", 2, 5, 3, ()),
+    ("9*x^2 + 3*y", 2, 3, 3, ("x",)),
+    ("x^6 + y^4", 2, 2, 4, ()),
+    ("x*y*z", 3, 2, 3, ()),
+    ("x^2 + y^2 + z^2", 3, 3, 2, ("x",)),
+    ("x^2*y + z^3", 3, 2, 3, ()),
+    ("x^3 + y^3 + z^3", 3, 3, 2, ("x + y",)),
+]
+
+
+def _igusa_corpus():
+    cases = [(P(t, n), p, m, ideal(n, *zs) if zs else None) for t, n, p, m, zs in IGUSA_CASES]
+    for seed in range(54):
+        rng = random.Random(3000 + seed)
+        n = rng.choice([1, 2, 3])
+        p = rng.choice([2, 3, 5, 7, 11])
+        while p ** (2 * n) > 20000:
+            p = rng.choice([2, 3, 5])
+        m = 2
+        while p ** ((m + 1) * n) <= 20000 and rng.random() < 0.7:
+            m += 1
+        f = _random_poly(rng, n, 4)
+        while not any(any(mono) for mono in f.terms):
+            f = _random_poly(rng, n, 4)
+        z = IdealGens(n, [_random_poly(rng, n, 2)]) if rng.random() < 0.5 else None
+        cases.append((f, p, m, z))
+    return cases
+
+
+IGUSA_CORPUS = _igusa_corpus()
+
+
+@pytest.mark.parametrize("index", range(len(IGUSA_CORPUS)))
+def test_igusa_report_matches_the_full_scan(index):
+    f, p, m, z = IGUSA_CORPUS[index]
+    assert repr(igusa_identity_check(f, p, m, z)) == repr(brute_igusa(f, p, m, z))
+
+
+def test_igusa_corpus_covers_every_branch():
+    reports = [brute_igusa(*case) for case in IGUSA_CORPUS]
+    assert {f.nvars for f, _, _, _ in IGUSA_CORPUS} == {1, 2, 3}
+    assert {z is None for _, _, _, z in IGUSA_CORPUS} == {True, False}
+    sampled = sum(r.orth != "vacuous" for r in reports)
+    assert 20 <= sampled <= len(reports) - 20
+    assert any(not (r.efz1 and r.efzj) for r in reports)
 
 
 # ---------------------------------------------------------------- jets
@@ -194,3 +345,9 @@ def test_histogram_refuses_counts_that_overflow_int64():
     # the recursion would finish, but 2^66 points do not fit an int64 bin
     with pytest.raises(ValueError, match="int64"):
         _histogram(P("x + y + z", 3), 2, 22, budget=2**70)
+
+
+def test_identity_check_refuses_counts_that_overflow_int64():
+    # refused before any residue grid is built
+    with pytest.raises(ValueError, match="int64"):
+        igusa_identity_check(P("x + y + z", 3), 2, 22, budget=2**70)

@@ -275,3 +275,10 @@ def test_series_arithmetic_retruncates():
     b = TruncatedSeries(P("x^2", 1), 5)
     assert (a * b).order == 3
     assert (a * b).poly.is_zero()  # x^3 is cut at order 3
+
+
+def test_only_x_takes_an_index():
+    assert P("x2 + w", 4).terms == {(0, 1, 0, 0): 1, (0, 0, 0, 1): 1}
+    for text in ("y2", "z1", "w3"):
+        with pytest.raises(ParseError, match="implicit"):
+            P(text, 4)
