@@ -207,10 +207,14 @@ def _histogram(f: Polynomial, p: int, m: int, budget=None, mask_fn=None, level=1
     return ResidueHistogram(p, m, f.nvars, _tube_counts(f, p, m, mask_fn, level))
 
 
+def _require_nonconstant(f: Polynomial, caller: str) -> None:
+    if f.is_zero() or not any(any(mono) for mono in f.terms):
+        raise ValueError(f"{caller} needs a nonconstant polynomial")
+
+
 def residue_histogram(f: Polynomial, p: int, m: int, budget=None) -> ResidueHistogram:
     """Exact residue histogram of a nonconstant integer polynomial."""
-    if f.is_zero() or not any(any(mono) for mono in f.terms):
-        raise ValueError("residue_histogram needs a nonconstant polynomial")
+    _require_nonconstant(f, "residue_histogram")
     hist = _histogram(f, p, m, budget)
     if not hist.check_total():
         raise AssertionError("residue histogram counts do not add up to p^(m n)")
@@ -346,6 +350,7 @@ def igusa_identity_check(
     """
     if m < 2:
         raise ValueError("identity checks need m >= 2")
+    _require_nonconstant(f, "igusa_identity_check")
     n = f.nvars
     modulus = p**m
     _check_volume(p, m, n, budget)

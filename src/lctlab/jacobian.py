@@ -3,7 +3,10 @@
 Ideals are plain generator lists.  Everything here reduces to exact linear
 algebra over the rationals on finite-dimensional truncations of the local
 ring at the origin, done by the one elimination kernel
-:class:`~lctlab.linalg.SparseEliminator` on sparse rows keyed by monomials:
+:class:`~lctlab.linalg.SparseEliminator` on sparse rows keyed by monomials.
+Rows carry the polynomials' own int or Fraction coefficients; the kernel
+clears denominators once per row and eliminates on integers, so a germ with
+integer coefficients builds Fractions only when a witness is read back:
 
 * ``membership_truncated`` adds each generator times each monomial of low
   enough degree as a tagged row, asks the kernel to solve for the target,
@@ -306,7 +309,7 @@ def _colength(f: Polynomial, order: int) -> int:
             for m, c in p.terms.items():
                 s = tuple(map(int.__add__, m, mono))
                 if sum(s) < order:
-                    row[s] = Fraction(c)
+                    row[s] = c
             if row:
                 elim.add_row(row)
     return nmons - elim.rank

@@ -6,7 +6,7 @@ Three independent computations live here:
   polyhedron, by Howald's linear program
   lct(a) = min { sum(w) : w >= 0, <w, v_j> >= 1 for every generator v_j },
   solved exactly by visiting every vertex of that polyhedron (each one an
-  n x n rational system solved by :class:`~lctlab.linalg.SparseEliminator`)
+  n x n integer system solved by :class:`~lctlab.linalg.SparseEliminator`)
   and returned with a primal-dual certificate that is checked before the
   value leaves the function (:func:`newton_lct_certificate`);
 
@@ -153,12 +153,12 @@ def _monomial_exponents(a: IdealGens):
 
 def _solve_square(columns, target):
     """{k: x_k} with sum(x_k * columns[k]) == target, for columns given as
-    sparse dicts; None when the columns are linearly dependent."""
+    sparse integer dicts, which the kernel takes as they are; None when the
+    columns are linearly dependent."""
     elim = SparseEliminator()
     for k, col in columns.items():
-        elim.add_row(col, tag=k)
-    if elim.rank < len(columns):
-        return None
+        if not elim.add_row(col, tag=k):
+            return None
     return elim.solve(target)
 
 
@@ -203,7 +203,7 @@ def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
         if w is None:
             continue
         q = lcm(*(x.denominator for x in w.values()))
-        p = tuple(int(w[i] * q) if i in w else 0 for i in range(n))
+        p = tuple(w[i].numerator * (q // w[i].denominator) if i in w else 0 for i in range(n))
         if min(p) < 0:
             continue
         total = Fraction(sum(p), q)

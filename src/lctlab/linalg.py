@@ -1,9 +1,18 @@
-"""Exact linear algebra over the rationals, on sparse dict rows.
+"""Exact linear algebra over the rationals, on sparse integer dict rows.
 
 :class:`SparseEliminator` is the one elimination kernel: ideal membership
 solves with it, Milnor-number colengths read its rank, and ``solve_dense``,
 ``rank_dense`` and ``det_dense`` are front doors over it for small dense
-matrices.  Pivots are chosen by smallest numerator bit length (then smallest
+matrices.
+
+Rows are kept fraction-free (Bareiss, Math. Comp. 22, 1968), with entry
+growth held down by gcds rather than by Bareiss's exact division: a row with
+rational entries is multiplied once by the lcm of its denominators, a row
+with entry ``a`` in the column of a pivot row with lead ``l`` becomes
+``(l/g) * row - (a/g) * pivot`` with ``g = gcd(a, l)``, and pivot rows are
+stored primitive with a positive lead.  A ``Fraction`` is built per
+elimination step of a solve, never per matrix entry.  Pivots are chosen by
+the smallest bit length of the primitive integer residue (then the smallest
 column key), so every result is reproducible regardless of dict order.
 """
 
@@ -13,90 +22,144 @@ import math
 from fractions import Fraction
 
 
-def _bitlen(c) -> int:
-    if isinstance(c, Fraction):
-        return c.numerator.bit_length() + c.denominator.bit_length()
-    return abs(c).bit_length()
+def _integral(row: dict):
+    """(nonzero entries of ``row`` as ints, the positive lcm they were
+    multiplied by); an all-int row passes through unscaled."""
+    den = 1
+    for v in row.values():
+        if type(v) is not int:
+            den = math.lcm(den, v.denominator)
+    if den == 1:
+        return {k: int(v) for k, v in row.items() if v}, 1
+    return {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}, den
 
 
 class SparseEliminator:
     """Incremental row reduction; rows are dicts mapping column key -> coeff.
 
-    Column keys only need a total order.  ``add_row`` reduces the row against
-    the pivots seen so far and, if anything survives, records a new pivot.
-    A row added with a ``tag`` also remembers how it was reduced, which lets
-    :meth:`solve` write a target as a combination of the tagged rows; rows
-    without a tag skip that bookkeeping, and ``solve`` then cannot be used.
+    Column keys only need a total order; coefficients are ints or
+    Fractions.  ``add_row`` reduces the row against the pivots seen so far
+    and, if anything survives, records a new pivot.  A row added with a
+    ``tag`` also remembers how it was reduced, which lets :meth:`solve`
+    write a target as a combination of the tagged rows; rows without a tag
+    skip that bookkeeping, and ``solve`` then cannot be used.
+
+    The rows that raise the rank depend only on the order of insertion, and
+    a target in their span is a unique combination of them, so what
+    ``solve``, ``rank`` and ``det_dense`` return does not depend on the
+    pivot rule or on how the rows are scaled; only the individual
+    ``leads`` do.
     """
 
     def __init__(self):
-        self.pivots = {}  # pivot column -> reduced row (leading coeff 1), by insertion
-        self.leads = []  # leading coefficient of each pivot row before scaling
-        self._made = {}  # pivot column -> (tag, reduction steps) of a tagged row
+        # pivot column -> primitive integer row with a positive entry there, by insertion
+        self.pivots = {}
+        self._leads = []  # (numerator, denominator) of each rational lead
+        # pivot column -> (tag, integer steps, scale, content) of a tagged row
+        self._made = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: dict, steps=None) -> dict:
-        """The residue of ``row`` modulo the pivot rows; each subtraction of
-        factor * pivot row is appended to ``steps``, if given, as (column, factor)."""
-        row = {k: v for k, v in row.items() if v}
+    @property
+    def leads(self) -> list:
+        """The leading coefficient of each pivot row as first reduced over Q
+        (the row minus rational multiples of earlier pivot rows), in order."""
+        return [Fraction(a, b) for a, b in self._leads]
+
+    def _reduce(self, row: dict, steps=None):
+        """(residue, scale): ``scale * row`` minus integer multiples of the
+        pivot rows, with no entry left in a pivot column; ``row`` is an int
+        row and is consumed.  For each pivot used, (column, multiple) is
+        appended to ``steps``, if given, with the multiples taken against
+        the final scale."""
+        pivots = self.pivots
+        muls = [] if steps is not None else None
+        scale = 1
         while row:
             hit = None
             for col in row:
-                if col in self.pivots:
+                if col in pivots:
                     hit = col
                     break
             if hit is None:
-                return row
-            factor = row[hit]
-            if steps is not None:
-                steps.append((hit, factor))
-            for col, coeff in self.pivots[hit].items():
-                v = row.get(col, 0) - factor * coeff
+                break
+            piv = pivots[hit]
+            g = math.gcd(row[hit], piv[hit])
+            a, m = row[hit] // g, piv[hit] // g
+            if m != 1:
+                row = {c: m * v for c, v in row.items()}
+                scale *= m
+            if muls is not None:
+                steps.append((hit, a))
+                muls.append(m)
+            for col, coeff in piv.items():
+                v = row.get(col, 0) - a * coeff
                 if v:
                     row[col] = v
                 else:
-                    row.pop(col, None)
-        return row
+                    del row[col]
+        if muls is not None and scale != 1:
+            # a multiple taken before later rescalings is carried by them
+            later = 1
+            for i in range(len(steps) - 1, -1, -1):
+                if later != 1:
+                    steps[i] = (steps[i][0], steps[i][1] * later)
+                later *= muls[i]
+        return row, scale
 
     def add_row(self, row: dict, tag=None) -> bool:
         """Insert a row; returns True if it increased the rank."""
+        row, den = _integral(row)
         steps = None if tag is None else []
-        red = self.reduce(row, steps)
+        red, scale = self._reduce(row, steps)
         if not red:
             return False
-        pivot = min(red, key=lambda c: (_bitlen(red[c]), c))
-        lead = Fraction(red[pivot])
-        inv = 1 / lead
-        self.pivots[pivot] = {c: v * inv for c, v in red.items()}
-        self.leads.append(lead)
+        content = math.gcd(*red.values())
+        if content != 1:
+            red = {c: v // content for c, v in red.items()}
+        pivot = min(red, key=lambda c: (abs(red[c]).bit_length(), c))
+        if red[pivot] < 0:
+            red = {c: -v for c, v in red.items()}
+            content = -content
+        # the residue over Q is content * red / (scale * den)
+        scale *= den
+        self.pivots[pivot] = red
+        self._leads.append((content * red[pivot], scale))
         if tag is not None:
-            self._made[pivot] = (tag, steps)
+            self._made[pivot] = (tag, steps, scale, content)
         return True
 
     def solve(self, target: dict):
         """Nonzero coefficients {tag: c} with sum(c * row) == target over the
         tagged rows, or None when the target is not in their span."""
+        target, den = _integral(target)
         steps = []
-        if self.reduce(target, steps):
+        red, scale = self._reduce(target, steps)
+        if red:
             return None
+        # scale * den * target is the sum of multiple * pivot row over the steps
         weight = {}
-        for col, factor in steps:
-            weight[col] = weight.get(col, 0) + factor
-        # pivot row k is (row_k - sum of its steps) / lead_k, and its steps
-        # only name earlier pivots, so one backward sweep unwinds them all
+        for col, a in steps:
+            weight[col] = weight.get(col, 0) + a
+        scale *= den
+        weight = {col: Fraction(a, scale) for col, a in weight.items()}
+        # pivot row k is (scale_k * row_k - sum of its steps) / content_k, and
+        # its steps only name earlier pivots, so one backward sweep unwinds them
         out = {}
-        for col, lead in zip(reversed(self.pivots), reversed(self.leads)):
+        for col in reversed(self.pivots):
             w = weight.get(col)
             if not w:
                 continue
-            tag, made = self._made[col]
-            w = w / lead
-            out[tag] = out.get(tag, 0) + w
-            for hit, factor in made:
-                weight[hit] = weight.get(hit, 0) - w * factor
+            tag, made, s, content = self._made[col]
+            if content != 1:
+                w /= content
+            w_row = w * s if s != 1 else w
+            out[tag] = out[tag] + w_row if tag in out else w_row
+            for hit, a in made:
+                d = w * a
+                weight[hit] = weight[hit] - d if hit in weight else -d
         return {tag: c for tag, c in out.items() if c}
 
 
@@ -137,4 +200,5 @@ def det_dense(matrix):
         return Fraction(0)
     cols = list(elim.pivots)
     inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
-    return math.prod(elim.leads, start=Fraction((-1) ** inversions))
+    num = math.prod(a for a, _ in elim._leads)
+    return Fraction((-1) ** inversions * num, math.prod(b for _, b in elim._leads))

@@ -156,6 +156,16 @@ def test_igusa_cli(capsys):
     assert checks["efz1"] is True and checks["efzj"] is True
 
 
+@pytest.mark.parametrize("poly", ["5", "0"])
+def test_igusa_cli_refuses_a_constant(capsys, poly):
+    # the refusal names the constant input, not the Jacobian ideal built from it
+    code, out, err = run(capsys, "igusa-check", "--poly", poly, "--p", "7", "--m", "2")
+    assert code == 2
+    assert "igusa_identity_check needs a nonconstant polynomial" in err
+    assert "generator" not in err
+    assert out == ""
+
+
 def test_nk_cli(capsys):
     code, out, _ = run(capsys, "nk", "--poly", "x^2", "--p", "5", "--k", "2")
     assert code == 0
