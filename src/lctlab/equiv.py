@@ -21,8 +21,11 @@ written as a combination of products of partials of the *current* germ.
 Instead of solving a linear system per step, the witness matrix is
 transported through the substitution by an exactly computed transition
 matrix, inverted by Newton doubling, so the whole iteration stays inside
-truncated matrix algebra over polynomials.  :func:`formal_equiv_rank2` is
-:func:`morsify` of f + g followed by :func:`tougeron` on the residual germ.
+truncated matrix algebra over polynomials.  Each step makes one Taylor
+expansion of the germ F along its shift g: the new germ F(x + g) is read off
+the quadratic remainder W that the transport needs anyway, and the transition
+matrix reads the same divided powers D^beta F.  :func:`formal_equiv_rank2` is
+:func:`morsify` of f + g followed by the absorption of the residual germ.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .linalg import det_dense, solve_dense
 from .polyring import (
     Polynomial,
     TruncatedSeries,
+    _Powers,
     divided_power,
     monomials_below,
     partial_derivative,
@@ -150,18 +154,15 @@ class CoordinateMap:
         """The map realizing: substitute along self, then along other.
 
         ``self.then(other).apply(f) == other-substitution of self.apply(f)``.
-        Near-identity second factors (all shifts of multiplicity >= 2) take
-        the cheap Taylor route.
+        Each image of self is Taylor-expanded along the shifts
+        ``other.images[i] - x_i``.
         """
         order = min(self.order, other.order)
         n = self.nvars
         shifts = [
             other.images[i].poly - Polynomial.variable(n, i + 1) for i in range(n)
         ]
-        if all(s.is_zero() or s.multiplicity() >= 2 for s in shifts):
-            images = [substitute_shifted(im.poly, shifts, order) for im in self.images]
-        else:
-            images = [substitute(im.poly, other.images, order) for im in self.images]
+        images = [substitute_shifted(im.poly, shifts, order) for im in self.images]
         return CoordinateMap(images, order, _skip_check=True)
 
     def invert(self) -> "CoordinateMap":
@@ -263,28 +264,6 @@ def _newton_inverse(E, order):
     return X
 
 
-class _GPowers:
-    """Memoized truncated products g^alpha used by the witness transport."""
-
-    def __init__(self, gs, order):
-        self.gs = gs
-        self.order = order
-        nvars = gs[0].nvars
-        self.cache = {(0,) * len(gs): Polynomial.constant(nvars, 1)}
-
-    def get(self, alpha):
-        cached = self.cache.get(alpha)
-        if cached is not None:
-            return cached
-        i = next(k for k, a in enumerate(alpha) if a)
-        prev = list(alpha)
-        prev[i] -= 1
-        base = self.get(tuple(prev))
-        val = base.mul_truncated(self.gs[i], self.order)
-        self.cache[alpha] = val
-        return val
-
-
 def _tougeron_core(f_poly: Polynomial, H, order: int):
     """Absorb ``sum(H[i][l] * df_i * df_l)`` into f by iterated substitutions.
 
@@ -347,15 +326,7 @@ def _tougeron_core(f_poly: Polynomial, H, order: int):
             if not gi.is_zero() and gi.multiplicity() < a_floor + jmult:
                 raise AssertionError("shift multiplicity below the step bound")
 
-        phi = CoordinateMap.shift(gs, order)
-        F_new = substitute_shifted(F.poly, gs, order)
-        psi = psi.then(phi)
-        new_target_gap = target - F_new
-        if new_target_gap.is_zero():
-            F = F_new
-            break
-
-        # transport the witness to the partials of the new germ
+        psi = psi.then(CoordinateMap.shift(gs, order))
         live_mults = [gi.multiplicity() for gi in gs if not gi.is_zero()]
         if not live_mults:
             raise AssertionError("nonzero residual with identically zero shifts")
@@ -364,11 +335,20 @@ def _tougeron_core(f_poly: Polynomial, H, order: int):
         g_mults = [
             gi.multiplicity() if not gi.is_zero() else blocked for gi in gs
         ]
-        gpow = _GPowers([gi.truncate(wit_order) for gi in gs], wit_order)
+        gpow = _Powers([gi.truncate(wit_order) for gi in gs], wit_order)
+        dF = {}  # D^beta F mod m^wit_order, one divided power per exponent
 
+        def D(beta):
+            val = dF.get(beta)
+            if val is None:
+                val = dF[beta] = divided_power(F.poly, beta).truncate(wit_order)
+            return val
+
+        # F(x + g) = F + sum_i d_i F g_i + sum_{|alpha| >= 2} D^alpha F g^alpha.
         # W[(i1,i2)] collects D^alpha F * g^(alpha - e_i1 - e_i2) over alpha
-        # whose two smallest indices are (i1, i2); then the new residual is
-        # -sum W * g_i1 * g_i2.
+        # whose two smallest indices are (i1, i2), so F(x + g) = F + recon +
+        # sum W * g_i1 * g_i2; every g_i has multiplicity >= jmult, so W is
+        # needed mod m^(order - 2 jmult) = m^wit_order only.
         W = {}
         for alpha in monomials_below(g_mults, wit_order + 2 * top):
             if sum(alpha) < 2:
@@ -381,15 +361,24 @@ def _tougeron_core(f_poly: Polynomial, H, order: int):
             rest = tuple(rest)
             if sum(r * m for r, m in zip(rest, g_mults)) >= wit_order:
                 continue
-            dpf = divided_power(F.poly, alpha)
+            dpf = D(alpha)
             if dpf.is_zero():
                 continue
-            term = dpf.truncate(wit_order).mul_truncated(gpow.get(rest), wit_order)
+            term = dpf.mul_truncated(gpow.get(rest), wit_order)
             if term.is_zero():
                 continue
             key = (i1, i2)
             W[key] = W.get(key, Polynomial.zero(n)) + term
+        F_new = F.poly + recon
+        for (i1, i2), w in W.items():
+            F_new = F_new + w.mul_truncated(gs[i1].mul_truncated(gs[i2], order), order)
+        F_new = TruncatedSeries(F_new, order)
+        if (target - F_new).is_zero():
+            F = F_new
+            break
 
+        # transport the witness to the partials of the new germ, whose
+        # residual is -sum W * g_i1 * g_i2
         zero = Polynomial.zero(n)
         minus_W = [[-W.get((i1, i2), zero) for i2 in range(n)] for i1 in range(n)]
         H_T = [list(col) for col in zip(*H)]
@@ -398,7 +387,8 @@ def _tougeron_core(f_poly: Polynomial, H, order: int):
         # transition: grad(F) = B * grad(F_new) with
         # B = inverse of (I + A)(I + M), A[i][j] = d_i g_j,
         # M[u][v] = sum_w V[u][w] H[w][v],
-        # V[u][w] = sum over alpha with first index w of D^alpha(d_u F) g^(alpha-e_w)
+        # V[u][w] = sum over alpha with first index w of D^alpha(d_u F) g^(alpha-e_w),
+        # where D^alpha d_u = (alpha_u + 1) D^(alpha+e_u)
         A = [[partial_derivative(gs[j], i + 1).truncate(wit_order) for j in range(n)] for i in range(n)]
         V = [[Polynomial.zero(n) for _ in range(n)] for _ in range(n)]
         for alpha in monomials_below(g_mults, wit_order + top)[1:]:  # alpha != 0
@@ -412,12 +402,9 @@ def _tougeron_core(f_poly: Polynomial, H, order: int):
             if grest.is_zero():
                 continue
             for u in range(n):
-                dpu = divided_power(partials[u], alpha)
-                if dpu.is_zero():
-                    continue
-                V[u][w_idx] = V[u][w_idx] + dpu.truncate(wit_order).mul_truncated(
-                    grest, wit_order
-                )
+                dpu = D(alpha[:u] + (alpha[u] + 1,) + alpha[u + 1:])
+                if not dpu.is_zero():
+                    V[u][w_idx] = V[u][w_idx] + dpu.mul_truncated(grest, wit_order) * (alpha[u] + 1)
         M = _mat_mul(V, H, wit_order)
         AM = _mat_mul(A, M, wit_order)
         # E := A + M + A*M, so (I+A)(I+M) = I + E and the new witness is
@@ -801,8 +788,12 @@ def formal_equiv_rank2(f: Polynomial, g_witness: MembershipWitness, order: int) 
         rest_vars = list(range(r + 1, n + 1))
         hq_sub = _restrict_vars(resid, rest_vars)
         jhq2 = ideal_power(jacobian_ideal(hq_sub), 2)
+        # membership_truncated re-expands its own witness, so it goes to the
+        # absorption without a second _check_witness
         wit = membership_truncated(_restrict_vars(-q, rest_vars), jhq2, order)
-        theta = tougeron(hq_sub, wit, order)
+        if isinstance(wit, NotMember):
+            raise ValueError(f"g is not in the Jacobian-square ideal modulo m^{wit.order}")
+        theta = _tougeron_core(hq_sub, _witness_matrix(hq_sub, wit), order)
         images = [Polynomial.variable(n, i) for i in range(1, n + 1)]
         for pos, im in zip(rest_vars, theta.images):
             images[pos - 1] = _extend_vars(im.poly, n, rest_vars)

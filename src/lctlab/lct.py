@@ -122,9 +122,6 @@ class LctCertificate:
             codim = sum(l * (2 * i + 1) for i, l in enumerate(lam))
             denom = min(sum(lam), 2 * sum(lam[1:]))
             return Fraction(codim, denom) == self.value
-        if isinstance(w, RayValuation):
-            a = context
-            return Fraction(w.log_discrepancy(), w.ord_ideal(a)) == self.value
         if isinstance(w, NewtonWitness):
             a = context
             order = w.ray.ord_ideal(a)

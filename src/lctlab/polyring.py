@@ -14,7 +14,11 @@ The module also provides the small calculus used throughout the package:
 formal partial derivatives, divided-power operators ``D^alpha`` (derivatives
 divided by factorials, defined through binomial coefficients so they stay
 integral), substitution of series tuples into polynomials, square roots and
-reciprocals of unit seriesial, and a strict text-format parser.
+reciprocals of unit series, and a strict text-format parser.
+
+Every Taylor or composition sum runs over exponents from one enumerator,
+:func:`monomials_below`, and takes its products ``g^alpha`` of a series
+tuple from one memoized power cache, :class:`_Powers`.
 
 Printing is canonical: terms are ordered by graded reverse lexicographic
 order (highest degree first), so equal polynomials always print identically
@@ -29,7 +33,6 @@ from fractions import Fraction
 from typing import Mapping, Union
 
 Coeff = Union[int, Fraction]
-Mono = "tuple[int, ...]"
 
 DEFAULT_ORDER = 16
 
@@ -466,56 +469,63 @@ def _image_list(images, nvars):
     return out
 
 
+class _Powers:
+    """Memoized truncated products ``g^alpha`` of a tuple of series.
+
+    ``g^alpha`` is built from ``g^(alpha - e_i)`` with i the first nonzero
+    index of alpha.  Truncation commutes with regrouping, trunc(trunc(ab)c) =
+    trunc(abc), so every product is the same whatever order its factors are
+    taken in.
+    """
+
+    def __init__(self, gs, order):
+        self.gs = gs
+        self.order = order
+        self.cache = {(0,) * len(gs): Polynomial.constant(gs[0].nvars, 1)}
+
+    def get(self, alpha):
+        val = self.cache.get(alpha)
+        if val is None:
+            i = next(k for k, a in enumerate(alpha) if a)
+            prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            val = self.get(prev).mul_truncated(self.gs[i], self.order)
+            self.cache[alpha] = val
+        return val
+
+
 def substitute(f, images, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Compose ``f`` with a tuple of series images, truncated below ``order``.
 
     Every image must have zero constant term (the substitution maps the
     maximal ideal into itself), which makes the composition well defined at
-    any finite truncation order.
+    any finite truncation order.  The result is the sum of ``c * image^mono``
+    over the terms of f, with the powers taken from one :class:`_Powers`
+    cache; a term whose weighted multiplicity reaches ``order`` is skipped.
     """
     if isinstance(f, TruncatedSeries):
         order = min(order, f.order)
         f = f.poly
-    if hasattr(images, "images"):  # accept a CoordinateMap directly
-        images = images.images
     imgs = _image_list(images, f.nvars)
     for k, im in enumerate(imgs):
         if im.constant_term:
             raise ValueError(f"image of x{k + 1} has nonzero constant term")
-    # cache powers of each image as needed
-    pow_cache = [{0: Polynomial.constant(f.nvars, 1)} for _ in range(f.nvars)]
-
-    def power(i, e):
-        cache = pow_cache[i]
-        if e in cache:
-            return cache[e]
-        k = max(k for k in cache if k <= e)
-        acc = cache[k]
-        while k < e:
-            acc = acc.mul_truncated(imgs[i], order)
-            k += 1
-            cache[k] = acc
-        return acc
-
+    mults = [im.multiplicity() for im in imgs]
+    powers = _Powers(imgs, order)
     total = Polynomial.zero(f.nvars)
-    for mono, coeff in sorted(f.terms.items(), key=lambda t: sum(t[0])):
-        if sum(e * imgs[i].multiplicity() for i, e in enumerate(mono) if e) >= order:
-            continue
-        term = Polynomial.constant(f.nvars, coeff)
-        for i, e in enumerate(mono):
-            if e:
-                term = term.mul_truncated(power(i, e), order)
-        total = total + term
+    for mono, coeff in f.terms.items():
+        if sum(e * m for e, m in zip(mono, mults) if e) < order:
+            total = total + powers.get(mono) * coeff
     return TruncatedSeries(total, order)
 
 
 def substitute_shifted(f, shifts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     """Evaluate ``f(x + g)`` for a tuple of shifts ``g`` with multiplicity >= 1.
 
-    Uses the divided-power Taylor expansion ``sum_alpha D^alpha f(x) g^alpha``,
-    which is much cheaper than generic substitution when the shifts have high
-    multiplicity: only exponents ``alpha`` with ``sum(mult(g_i) * alpha_i) <
-    order`` contribute.
+    Uses the divided-power Taylor expansion ``sum_alpha D^alpha f(x) g^alpha``
+    over the exponents ``alpha`` of :func:`monomials_below` with
+    ``sum(mult(g_i) * alpha_i) < order`` (a zero shift has weight ``order``),
+    with ``g^alpha`` from one :class:`_Powers` cache.  This is much cheaper
+    than generic substitution when the shifts have high multiplicity.
     """
     if isinstance(f, TruncatedSeries):
         order = min(order, f.order)
@@ -525,31 +535,12 @@ def substitute_shifted(f, shifts, order: int = DEFAULT_ORDER) -> TruncatedSeries
         if g.constant_term:
             raise ValueError(f"shift of x{k + 1} has nonzero constant term")
     mults = [g.multiplicity() if not g.is_zero() else order for g in gs]
-    n = f.nvars
+    powers = _Powers(gs, order)
     total = f.truncate(order)
-    # enumerate alpha != 0 by depth-first extension, caching g^alpha products
-    stack = [((0,) * n, Polynomial.constant(n, 1), 0)]
-    while stack:
-        alpha, galpha, start = stack.pop()
-        for i in range(start, n):
-            if gs[i].is_zero():
-                continue
-            new_alpha = list(alpha)
-            new_alpha[i] += 1
-            new_alpha = tuple(new_alpha)
-            cost = sum(a * m for a, m in zip(new_alpha, mults))
-            if cost >= order:
-                continue
-            dpf = divided_power(f, new_alpha)
-            if dpf.is_zero():
-                # deeper exponents dominate new_alpha componentwise, so their
-                # divided powers vanish too: prune the whole subtree
-                continue
-            new_g = galpha.mul_truncated(gs[i], order)
-            if new_g.is_zero():
-                continue
-            total = total + dpf.mul_truncated(new_g, order)
-            stack.append((new_alpha, new_g, i))
+    for alpha in monomials_below(mults, order)[1:]:  # alpha != 0
+        dpf = divided_power(f, alpha)
+        if not dpf.is_zero():
+            total = total + dpf.mul_truncated(powers.get(alpha), order)
     return TruncatedSeries(total, order)
 
 
@@ -776,10 +767,6 @@ def parse_poly(text: str, nvars: int) -> Polynomial:
     return _Parser(text, nvars).parse()
 
 
-def _coeff_str(c) -> str:
-    return str(c)
-
-
 def poly_to_string(f: Polynomial) -> str:
     """Canonical text form: graded reverse lexicographic, highest degree first."""
     if isinstance(f, TruncatedSeries):
@@ -793,7 +780,7 @@ def poly_to_string(f: Polynomial) -> str:
         mag = -coeff if neg else coeff
         factors = []
         if mag != 1 or not any(mono):
-            factors.append(_coeff_str(mag))
+            factors.append(str(mag))
         for i, e in enumerate(mono):
             if e == 1:
                 factors.append(f"x{i + 1}")

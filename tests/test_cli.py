@@ -1,5 +1,6 @@
 """Command-line surface: dispatch, report schema, exit codes, golden tables."""
 
+import hashlib
 import json
 import os
 
@@ -233,6 +234,43 @@ def test_golden_tables_stable(tmp_path):
         assert b1 == b2, name
     grid = (d1 / "diagonal_lct_grid.tsv").read_text().splitlines()
     assert "n=5\td=3\tlct_fJ2=3/2\talpha=5/3\tstrict=true" in "\n".join(grid)
+
+
+# SHA-256 of the exact golden tables; expsum_profiles.tsv is left out
+# because its floats come from the platform's libm
+_GOLDEN_SHA256 = {
+    "determinantal.tsv": "f53f556621c04dcab14782b9abada22c3872e8336b2a98b6ec234940aed5b7c6",
+    "diagonal_lct_grid.tsv": "b019f53813a0eb59992668db6c0b1b46952818b272e9218040f7f0b7575e79eb",
+    "milnor_grid.tsv": "92c745c1ed7ffe3016023fdcd8f7d41a9f00022d7ba2d3fed2a1901d0aa46b57",
+    "yano_roots.tsv": "4b4b23bb5d26d83c2d3a904af1fa7efe3c72e78e07263e30dcfd9ee4bdaab712",
+}
+
+
+def test_exact_golden_tables_are_pinned(tmp_path):
+    emit_golden_tables(str(tmp_path))
+    for name, digest in _GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["tougeron", "--poly", "x^3+y^3", "--g", "x^4+x^2*y^2", "--order", "10"],
+         "absorption map failed final verification"),
+        (["morsify", "--poly", "x^2 + x*y^2 + y^3", "--order", "8"], "morsify failed to verify"),
+        (["selftest", "--cases", "3", "--seed", "99"], "absorption map failed final verification"),
+    ],
+)
+def test_a_wrong_composed_map_fails_the_library_check(capsys, monkeypatch, argv, message):
+    # composition that drops its second factor: every map the commands build
+    # is wrong, and the library's own substitution check must say so
+    from lctlab.equiv import CoordinateMap
+
+    monkeypatch.setattr(CoordinateMap, "then", lambda self, other: self)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert "check failed" in err and message in err
+    assert out == ""
 
 
 def test_env_budget(capsys, monkeypatch):

@@ -465,3 +465,51 @@ def test_per_step_check_catches_a_wrong_transition_inverse(monkeypatch):
     w = jf2_witness(f, P("x^4 + x^2*y^2 + y^4 + x^5*y", 2), 16)
     with pytest.raises(AssertionError, match="witness lost track"):
         tougeron(f, w, 16)
+
+
+# morsify and rank-2 maps as produced before the Taylor sums shared one power
+# cache; regrouping exact sums must reproduce them exactly
+_PINNED_MORSIFY = [
+    ("x^2 + x*y^2 + y^3", 2, 10, ["-1/2*x2^2 + x1", "x2"], "-1/4*x2^4 + x2^3"),
+    (
+        "x^2 + y^2 + z^3 + x*y*z", 3, 8,
+        [
+            "-3/256*x2*x3^5 - 1/16*x2*x3^3 - 1/2*x2*x3 + x1",
+            "3/128*x2*x3^4 + 1/8*x2*x3^2 + x2",
+            "x3",
+        ],
+        "x3^3",
+    ),
+    (
+        "x^2 + 2*x*y + 3*y^2 + x^3*y", 2, 8,
+        [
+            "5/16*x1^3*x2^4 - 169/64*x1^2*x2^5 + 129/16*x1*x2^6 - 603/64*x2^7 + "
+            "5/8*x1^3*x2^2 - 25/8*x1^2*x2^3 + 51/8*x1*x2^4 - 205/32*x2^5 - "
+            "1/2*x1^2*x2 + 3/2*x1*x2^2 - 7/4*x2^3 + x1 - x2",
+            "25/32*x2^5 + 1/4*x2^3 + x2",
+        ],
+        "0",
+    ),
+]
+
+
+@pytest.mark.parametrize("text,n,order,images,residual", _PINNED_MORSIFY)
+def test_morsify_map_is_pinned(text, n, order, images, residual):
+    res = morsify(P(text, n), order)
+    assert [str(im.poly) for im in res.map.images] == images
+    assert str(res.residual.poly) == residual
+
+
+def test_rank2_map_is_pinned_at_order_8():
+    f = P("x^2 + y^3", 2)
+    g = P("x*y^3 + y^4 + x^2*y", 2)
+    res = formal_equiv_rank2(f, jf2_witness(f, g, 8), 8)
+    assert [str(im.poly) for im in res.map.images] == [
+        "61721/186624*x1*x2^6 - 3169/648*x2^7 - 95573/62208*x1*x2^5 + 77/24*x2^6 + "
+        "10907/10368*x1*x2^4 - 11/6*x2^5 - 35/48*x1*x2^3 + x2^4 + 13/24*x1*x2^2 - "
+        "1/2*x2^3 - 1/2*x1*x2 + x1",
+        "-103/324*x2^7 + 9029/2916*x2^6 + 319/972*x2^5 - 113/324*x2^4 + 1/3*x2^3 - "
+        "1/3*x2^2 + x2",
+    ]
+    assert res.diag_coeffs == [1]
+    assert verify_map(f + g, res.normal_form(), res.map, 8) == (True, None)

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lctlab.polyring import (
+    DEFAULT_ORDER,
     MultiplicityBound,
     ParseError,
     Polynomial,
     TruncatedSeries,
+    _image_list,
     divided_power,
     multiplicity,
     parse_poly,
@@ -192,6 +194,137 @@ def test_substitute_shifted_matches_generic():
         a = substitute(f, [x + g1, y + g2], 8)
         b = substitute_shifted(f, [g1, g2], 8)
         assert a.poly == b.poly
+
+
+# The two substitution loops as they were before the Taylor and composition
+# sums shared one power cache (per-variable image powers, and a depth-first
+# walk over the exponents), kept verbatim as oracles.
+
+
+def _substitute_per_variable(f, images, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    if isinstance(f, TruncatedSeries):
+        order = min(order, f.order)
+        f = f.poly
+    if hasattr(images, "images"):  # accept a CoordinateMap directly
+        images = images.images
+    imgs = _image_list(images, f.nvars)
+    for k, im in enumerate(imgs):
+        if im.constant_term:
+            raise ValueError(f"image of x{k + 1} has nonzero constant term")
+    # cache powers of each image as needed
+    pow_cache = [{0: Polynomial.constant(f.nvars, 1)} for _ in range(f.nvars)]
+
+    def power(i, e):
+        cache = pow_cache[i]
+        if e in cache:
+            return cache[e]
+        k = max(k for k in cache if k <= e)
+        acc = cache[k]
+        while k < e:
+            acc = acc.mul_truncated(imgs[i], order)
+            k += 1
+            cache[k] = acc
+        return acc
+
+    total = Polynomial.zero(f.nvars)
+    for mono, coeff in sorted(f.terms.items(), key=lambda t: sum(t[0])):
+        if sum(e * imgs[i].multiplicity() for i, e in enumerate(mono) if e) >= order:
+            continue
+        term = Polynomial.constant(f.nvars, coeff)
+        for i, e in enumerate(mono):
+            if e:
+                term = term.mul_truncated(power(i, e), order)
+        total = total + term
+    return TruncatedSeries(total, order)
+
+
+def _substitute_shifted_dfs(f, shifts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    if isinstance(f, TruncatedSeries):
+        order = min(order, f.order)
+        f = f.poly
+    gs = _image_list(shifts, f.nvars)
+    for k, g in enumerate(gs):
+        if g.constant_term:
+            raise ValueError(f"shift of x{k + 1} has nonzero constant term")
+    mults = [g.multiplicity() if not g.is_zero() else order for g in gs]
+    n = f.nvars
+    total = f.truncate(order)
+    # enumerate alpha != 0 by depth-first extension, caching g^alpha products
+    stack = [((0,) * n, Polynomial.constant(n, 1), 0)]
+    while stack:
+        alpha, galpha, start = stack.pop()
+        for i in range(start, n):
+            if gs[i].is_zero():
+                continue
+            new_alpha = list(alpha)
+            new_alpha[i] += 1
+            new_alpha = tuple(new_alpha)
+            cost = sum(a * m for a, m in zip(new_alpha, mults))
+            if cost >= order:
+                continue
+            dpf = divided_power(f, new_alpha)
+            if dpf.is_zero():
+                # deeper exponents dominate new_alpha componentwise, so their
+                # divided powers vanish too: prune the whole subtree
+                continue
+            new_g = galpha.mul_truncated(gs[i], order)
+            if new_g.is_zero():
+                continue
+            total = total + dpf.mul_truncated(new_g, order)
+            stack.append((new_alpha, new_g, i))
+    return TruncatedSeries(total, order)
+
+
+_COEFFS = (-3, -2, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _random_poly(rng, n, nterms, lo, hi):
+    """Seeded polynomial with terms of total degree lo..hi."""
+    terms = {}
+    for _ in range(nterms):
+        mono = [0] * n
+        for _ in range(rng.randint(lo, hi)):
+            mono[rng.randrange(n)] += 1
+        terms[tuple(mono)] = rng.choice(_COEFFS)
+    return Polynomial(n, terms)
+
+
+def _random_series_tuple(rng, n):
+    """Shifts or images: some zero, the others of multiplicity 1 to 3, some
+    wrapped as truncated series."""
+    out = []
+    for _ in range(n):
+        if rng.random() < 0.2:
+            g = Polynomial.zero(n)
+        else:
+            lo = rng.choice((1, 1, 2, 3))
+            g = _random_poly(rng, n, rng.randint(1, 3), lo, lo + 2)
+        out.append(TruncatedSeries(g, rng.randint(4, 12)) if rng.random() < 0.2 else g)
+    return out
+
+
+def _oracle_corpus(seed):
+    rng = random.Random(seed)
+    for _ in range(150):
+        n = rng.randint(1, 4)
+        f = _random_poly(rng, n, rng.randint(1, 6), 0, 6)
+        if rng.random() < 0.25:
+            f = TruncatedSeries(f, rng.randint(3, 9))
+        yield f, _random_series_tuple(rng, n), rng.randint(3, 9)
+
+
+def test_substitute_matches_the_per_variable_oracle():
+    for f, images, order in _oracle_corpus(2031):
+        got = substitute(f, images, order)
+        want = _substitute_per_variable(f, images, order)
+        assert got.order == want.order and got.poly == want.poly, (str(f), images, order)
+
+
+def test_substitute_shifted_matches_the_depth_first_oracle():
+    for f, shifts, order in _oracle_corpus(4099):
+        got = substitute_shifted(f, shifts, order)
+        want = _substitute_shifted_dfs(f, shifts, order)
+        assert got.order == want.order and got.poly == want.poly, (str(f), shifts, order)
 
 
 # ---------------------------------------------------------------- series
