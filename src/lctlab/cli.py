@@ -88,13 +88,15 @@ def parse_ideal(text: str, nvars: int) -> IdealGens:
     return IdealGens(nvars, gens)
 
 
-def _check_padic_args(args, budget: int):
-    """Usage errors of the p-adic commands: ``--p`` not prime, or a level
-    ``--m``, ``--k``, ``--mmax``, ``--e`` below 1.  A ``--p`` above the budget
-    is left to the command to refuse, which bounds the trial division."""
-    for name in ("m", "k", "mmax", "e"):
-        if getattr(args, name, 1) < 1:
-            raise ValueError(f"--{name} must be at least 1")
+def _check_args(args, budget: int):
+    """Usage errors: ``--m``, ``--k``, ``--mmax``, ``--e``, ``--cases`` or
+    ``--order-cap`` below 1, ``--grid`` below 2, or ``--p`` not prime (one above
+    the budget is left to the command to refuse, bounding the trial division)."""
+    least_values = {"m": 1, "k": 1, "mmax": 1, "e": 1, "cases": 1, "order_cap": 1, "grid": 2}
+    for name, least in least_values.items():
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
     p = getattr(args, "p", None)
     if p is None or p > budget:
         return
@@ -345,7 +347,7 @@ def _cmd_check(args):
             keys = ("alpha", "lct_fJ2", "ineq", "equality", "strict")
         else:
             keys = ("alpha", "lct_f", "lct_fJ2", "above_one")
-        grid = args.grid or 8
+        grid = 8 if args.grid is None else args.grid
         rows = []
         ok = True
 
@@ -669,7 +671,7 @@ def main(argv=None) -> int:
         print("usage error: budget must be positive", file=sys.stderr)
         return 2
     try:
-        _check_padic_args(args, config["budget"])
+        _check_args(args, config["budget"])
         results = args.func(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -24,12 +24,15 @@ matrix, inverted by Newton doubling, so the whole iteration stays inside
 truncated matrix algebra over polynomials.  Each step makes one Taylor
 expansion of the germ F along its shift g: the new germ F(x + g) is read off
 the quadratic remainder W that the transport needs anyway, and the transition
-matrix reads the same divided powers D^beta F.  :func:`formal_equiv_rank2` is
+matrix reads the same divided powers D^beta F.  Each matrix entry and each
+sum of products of a step (shifts, check, W, V, new germ) is one ``dot``, with
+no polynomial built per term.  :func:`formal_equiv_rank2` is
 :func:`morsify` of f + g followed by the absorption of the residual germ.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,8 +50,10 @@ from .linalg import det_dense, solve_dense
 from .polyring import (
     Polynomial,
     TruncatedSeries,
+    _image_list,
     _Powers,
     divided_power,
+    dot,
     monomials_below,
     partial_derivative,
     series_inverse,
@@ -114,24 +119,15 @@ class CoordinateMap:
     @classmethod
     def shift(cls, shifts, order: int) -> "CoordinateMap":
         """The map x_i -> x_i + g_i for shifts of multiplicity >= 2."""
-        images = []
-        for i, g in enumerate(shifts, start=1):
-            gp = g.poly if isinstance(g, TruncatedSeries) else g
-            images.append(Polynomial.variable(gp.nvars, i) + gp)
-        return cls(images, order)
+        gs = _image_list(shifts, len(shifts))
+        return cls([Polynomial.variable(g.nvars, i) + g for i, g in enumerate(gs, start=1)], order)
 
     @classmethod
     def linear(cls, matrix, order: int) -> "CoordinateMap":
         """x_i -> sum_j matrix[i][j] * x_j (matrix must be invertible)."""
         n = len(matrix)
-        images = []
-        for i in range(n):
-            img = Polynomial.zero(n)
-            for j in range(n):
-                if matrix[i][j]:
-                    img = img + Polynomial.variable(n, j + 1) * matrix[i][j]
-            images.append(img)
-        return cls(images, order)
+        units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        return cls([Polynomial(n, dict(zip(units, row))) for row in matrix], order)
 
     # queries ---------------------------------------------------------------
 
@@ -175,14 +171,8 @@ class CoordinateMap:
         linv = [[inv[j][i] for j in range(n)] for i in range(n)]
 
         def linear_apply(vecs):
-            out = []
-            for i in range(n):
-                acc = Polynomial.zero(n)
-                for j in range(n):
-                    if linv[i][j]:
-                        acc = acc + vecs[j] * linv[i][j]
-                out.append(acc)
-            return out
+            return [dot(n, [(Polynomial.constant(n, c), v) for c, v in zip(row, vecs)])
+                    for row in linv]
 
         xs = [Polynomial.variable(n, i) for i in range(1, n + 1)]
         higher = [im.poly - im.poly.graded_part(1) for im in self.images]
@@ -226,21 +216,12 @@ def verify_map(f, target, cmap: CoordinateMap, order=None):
 # the Jacobian-square absorption iteration
 
 
-def _matrix_zero(n, nvars):
-    return [[Polynomial.zero(nvars) for _ in range(n)] for _ in range(n)]
-
-
 def _mat_mul(X, Y, order):
-    """X * Y for square matrices of polynomials, truncated below m^order."""
-    out = _matrix_zero(len(X), X[0][0].nvars)
-    for i, row in enumerate(X):
-        for k, x in enumerate(row):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(Y[k]):
-                if not y.is_zero():
-                    out[i][j] = out[i][j] + x.mul_truncated(y, order)
-    return out
+    """X * Y for square matrices of polynomials, truncated below m^order:
+    one :func:`dot` per entry, over a row of X and a column of Y."""
+    nvars = X[0][0].nvars
+    cols = list(zip(*Y))
+    return [[dot(nvars, zip(row, col), order) for col in cols] for row in X]
 
 
 def _newton_inverse(E, order):
@@ -251,9 +232,7 @@ def _newton_inverse(E, order):
     precision only (the matrix form of ``series_inverse``).
     """
     n, nvars = len(E), E[0][0].nvars
-    ident = _matrix_zero(n, nvars)
-    for i in range(n):
-        ident[i][i] = Polynomial.constant(nvars, 1)
+    ident = [[Polynomial.constant(nvars, int(i == j)) for j in range(n)] for i in range(n)]
     X, prec = ident, 1
     while prec < order:
         prec = min(2 * prec, order)
@@ -276,15 +255,12 @@ def _tougeron_core(f_poly: Polynomial, H, order: int):
     if d < 3 or f_poly.constant_term:
         raise ValueError("absorption needs multiplicity >= 3 at the origin")
     partials0 = [partial_derivative(f_poly, i) for i in range(1, n + 1)]
-    g = Polynomial.zero(n)
-    for i in range(n):
-        for l in range(n):
-            if not H[i][l].is_zero():
-                g = g + H[i][l] * partials0[i] * partials0[l]
+    g = dot(n, [(H[i][l], partials0[i].mul_truncated(partials0[l], order))
+                for i in range(n) for l in range(n) if not H[i][l].is_zero()], order)
     target = TruncatedSeries(f_poly + g, order)
 
     psi = CoordinateMap.identity(n, order)
-    if g.truncate(order).is_zero():
+    if g.is_zero():
         return psi
 
     jmult = min(p.multiplicity() for p in partials0 if not p.is_zero())
@@ -308,18 +284,10 @@ def _tougeron_core(f_poly: Polynomial, H, order: int):
         prev_res_mult = res_mult
 
         partials = [partial_derivative(F.poly, i) for i in range(1, n + 1)]
-        gs = []
-        for i in range(n):
-            gi = Polynomial.zero(n)
-            for l in range(n):
-                if not H[i][l].is_zero():
-                    gi = gi + H[i][l].mul_truncated(partials[l], order - jmult + 1)
-            gs.append(gi)
+        gs = [dot(n, zip(H[i], partials), order - jmult + 1) for i in range(n)]
         # sum_i d_i F * g_i is sum H[i][l] d_i F d_l F mod m^order, because
         # every d_i F has multiplicity >= jmult
-        recon = Polynomial.zero(n)
-        for p, gi in zip(partials, gs):
-            recon = recon + p.mul_truncated(gi, order)
+        recon = dot(n, zip(partials, gs), order)
         if recon != residual.poly:
             raise AssertionError("witness lost track of the residual")
         for gi in gs:
@@ -332,17 +300,12 @@ def _tougeron_core(f_poly: Polynomial, H, order: int):
             raise AssertionError("nonzero residual with identically zero shifts")
         top = max(live_mults)
         blocked = wit_order + 2 * top + 1  # cost that excludes a coordinate
-        g_mults = [
-            gi.multiplicity() if not gi.is_zero() else blocked for gi in gs
-        ]
+        g_mults = [gi.multiplicity() if not gi.is_zero() else blocked for gi in gs]
         gpow = _Powers([gi.truncate(wit_order) for gi in gs], wit_order)
-        dF = {}  # D^beta F mod m^wit_order, one divided power per exponent
 
-        def D(beta):
-            val = dF.get(beta)
-            if val is None:
-                val = dF[beta] = divided_power(F.poly, beta).truncate(wit_order)
-            return val
+        @functools.cache
+        def D(beta):  # D^beta F mod m^wit_order, one divided power per exponent
+            return divided_power(F.poly, beta).truncate(wit_order)
 
         # F(x + g) = F + sum_i d_i F g_i + sum_{|alpha| >= 2} D^alpha F g^alpha.
         # W[(i1,i2)] collects D^alpha F * g^(alpha - e_i1 - e_i2) over alpha
@@ -353,36 +316,24 @@ def _tougeron_core(f_poly: Polynomial, H, order: int):
         for alpha in monomials_below(g_mults, wit_order + 2 * top):
             if sum(alpha) < 2:
                 continue
-            support = [i for i, a in enumerate(alpha) for _ in range(min(a, 2))]
-            i1, i2 = support[0], support[1]
-            rest = list(alpha)
-            rest[i1] -= 1
-            rest[i2] -= 1
-            rest = tuple(rest)
+            i1, i2 = [i for i, a in enumerate(alpha) for _ in range(min(a, 2))][:2]
+            rest = tuple(a - (i == i1) - (i == i2) for i, a in enumerate(alpha))
             if sum(r * m for r, m in zip(rest, g_mults)) >= wit_order:
                 continue
             dpf = D(alpha)
-            if dpf.is_zero():
-                continue
-            term = dpf.mul_truncated(gpow.get(rest), wit_order)
-            if term.is_zero():
-                continue
-            key = (i1, i2)
-            W[key] = W.get(key, Polynomial.zero(n)) + term
-        F_new = F.poly + recon
-        for (i1, i2), w in W.items():
-            F_new = F_new + w.mul_truncated(gs[i1].mul_truncated(gs[i2], order), order)
-        F_new = TruncatedSeries(F_new, order)
+            if not dpf.is_zero():
+                W.setdefault((i1, i2), []).append((dpf, gpow.get(rest)))
+        W = {key: dot(n, pairs, wit_order) for key, pairs in W.items()}
+        quad = [(w, gs[i1].mul_truncated(gs[i2], order)) for (i1, i2), w in W.items()]
+        F_new = TruncatedSeries(F.poly + recon + dot(n, quad, order), order)
         if (target - F_new).is_zero():
             F = F_new
             break
 
         # transport the witness to the partials of the new germ, whose
         # residual is -sum W * g_i1 * g_i2
-        zero = Polynomial.zero(n)
-        minus_W = [[-W.get((i1, i2), zero) for i2 in range(n)] for i1 in range(n)]
-        H_T = [list(col) for col in zip(*H)]
-        H_mid = _mat_mul(_mat_mul(H_T, minus_W, wit_order), H, wit_order)
+        minus_W = [[-W.get((i1, i2), Polynomial.zero(n)) for i2 in range(n)] for i1 in range(n)]
+        H_mid = _mat_mul(_mat_mul(list(zip(*H)), minus_W, wit_order), H, wit_order)
 
         # transition: grad(F) = B * grad(F_new) with
         # B = inverse of (I + A)(I + M), A[i][j] = d_i g_j,
@@ -390,12 +341,10 @@ def _tougeron_core(f_poly: Polynomial, H, order: int):
         # V[u][w] = sum over alpha with first index w of D^alpha(d_u F) g^(alpha-e_w),
         # where D^alpha d_u = (alpha_u + 1) D^(alpha+e_u)
         A = [[partial_derivative(gs[j], i + 1).truncate(wit_order) for j in range(n)] for i in range(n)]
-        V = [[Polynomial.zero(n) for _ in range(n)] for _ in range(n)]
+        V = [[[] for _ in range(n)] for _ in range(n)]
         for alpha in monomials_below(g_mults, wit_order + top)[1:]:  # alpha != 0
             w_idx = next(i for i, a in enumerate(alpha) if a)
-            rest = list(alpha)
-            rest[w_idx] -= 1
-            rest = tuple(rest)
+            rest = tuple(a - (i == w_idx) for i, a in enumerate(alpha))
             if sum(r * m for r, m in zip(rest, g_mults)) >= wit_order:
                 continue
             grest = gpow.get(rest)
@@ -404,15 +353,15 @@ def _tougeron_core(f_poly: Polynomial, H, order: int):
             for u in range(n):
                 dpu = D(alpha[:u] + (alpha[u] + 1,) + alpha[u + 1:])
                 if not dpu.is_zero():
-                    V[u][w_idx] = V[u][w_idx] + dpu.mul_truncated(grest, wit_order) * (alpha[u] + 1)
+                    V[u][w_idx].append((dpu * (alpha[u] + 1) if alpha[u] else dpu, grest))
+        V = [[dot(n, pairs, wit_order) for pairs in row] for row in V]
         M = _mat_mul(V, H, wit_order)
         AM = _mat_mul(A, M, wit_order)
         # E := A + M + A*M, so (I+A)(I+M) = I + E and the new witness is
         # B^T H_mid B with B = (I + E)^-1
         E = [[A[i][j] + M[i][j] + AM[i][j] for j in range(n)] for i in range(n)]
         B = _newton_inverse(E, wit_order)
-        B_T = [list(col) for col in zip(*B)]
-        H = _mat_mul(_mat_mul(B_T, H_mid, wit_order), B, wit_order)
+        H = _mat_mul(_mat_mul(list(zip(*B)), H_mid, wit_order), B, wit_order)
         F = F_new
         a_floor = 2 * a_floor + 1
     else:
@@ -436,7 +385,7 @@ def _witness_matrix(f: Polynomial, witness: MembershipWitness):
     partials = [partial_derivative(f, i) for i in range(1, n + 1)]
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     products = [partials[i] * partials[j] for i, j in pairs]
-    H = _matrix_zero(n, n)
+    H = [[Polynomial.zero(n)] * n for _ in range(n)]
     for gen, coeff in zip(witness.gens.gens, witness.coefficients):
         k = products.index(gen)
         products[k] = None
@@ -480,15 +429,16 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> Coordin
 # morsification
 
 
+def _squares(n, coeffs):  # sum(coeffs[i] * x_{i+1}^2)
+    return Polynomial(n, {tuple(2 * (k == i) for k in range(n)): c for i, c in enumerate(coeffs)})
+
+
 class _SplitNormalForm:
     """``normal_form`` for results carrying diag_coeffs, residual and order."""
 
     def normal_form(self) -> TruncatedSeries:
-        n = self.residual.nvars
-        total = Polynomial.zero(n)
-        for i, c in enumerate(self.diag_coeffs, start=1):
-            total = total + Polynomial.variable(n, i) ** 2 * c
-        return TruncatedSeries(total + self.residual.poly, self.order)
+        squares = _squares(self.residual.nvars, self.diag_coeffs)
+        return TruncatedSeries(squares + self.residual.poly, self.order)
 
 
 @dataclass
@@ -675,10 +625,7 @@ def morsify(f, order: int) -> MorsifyResult:
         if a_k != diag[k - 1]:
             raise AssertionError("diagonal coefficient drifted during cleaning")
         cmap = cmap.then(step_map)
-    residual = F.poly
-    for i, a_k in enumerate(diag, start=1):
-        residual = residual - Polynomial.variable(n, i) ** 2 * a_k
-    res = TruncatedSeries(residual, order)
+    res = TruncatedSeries(F.poly - _squares(n, diag), order)
     if not res.is_zero():
         if res.poly.multiplicity() < 3:
             raise AssertionError("residual multiplicity below 3")

@@ -30,6 +30,7 @@ from .linalg import SparseEliminator, rank_dense
 from .polyring import (
     Polynomial,
     TruncatedSeries,
+    dot,
     monomials_below,
     partial_derivative,
     poly_to_string,
@@ -179,10 +180,8 @@ class MembershipWitness:
     order: int
 
     def expand(self) -> Polynomial:
-        total = Polynomial.zero(self.target.nvars)
-        for h, g in zip(self.coefficients, self.gens.gens):
-            total = total + h.poly.mul_truncated(g, self.order)
-        return total
+        pairs = [(h.poly, g) for h, g in zip(self.coefficients, self.gens.gens)]
+        return dot(self.target.nvars, pairs, self.order)
 
     def verify(self) -> bool:
         return self.expand() == self.target.truncate(self.order)

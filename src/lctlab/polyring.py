@@ -16,9 +16,11 @@ divided by factorials, defined through binomial coefficients so they stay
 integral), substitution of series tuples into polynomials, square roots and
 reciprocals of unit series, and a strict text-format parser.
 
-Every Taylor or composition sum runs over exponents from one enumerator,
-:func:`monomials_below`, and takes its products ``g^alpha`` of a series
-tuple from one memoized power cache, :class:`_Powers`.
+Every product is one kernel, :func:`dot`: one accumulator over pairs a*b,
+exponents packed into int keys, each operand packed once as int numerators
+over one denominator.  Every Taylor or composition sum is one :func:`dot`
+over exponents from one enumerator, :func:`monomials_below`, with products
+``g^alpha`` of a series tuple from one memoized power cache, :class:`_Powers`.
 
 Printing is canonical: terms are ordered by graded reverse lexicographic
 order (highest degree first), so equal polynomials always print identically
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -80,7 +83,7 @@ class Polynomial:
     so values are safe to share across threads.
     """
 
-    __slots__ = ("nvars", "terms", "_mult")
+    __slots__ = ("nvars", "terms", "_mult", "_pack")
 
     def __init__(self, nvars: int, terms: Mapping):
         if nvars < 1:
@@ -92,9 +95,14 @@ class Polynomial:
             c = _norm_coeff(coeff)
             if c:
                 clean[tuple(mono)] = c
-        self.nvars = nvars
-        self.terms = clean
-        self._mult = None
+        self.nvars, self.terms, self._mult, self._pack = nvars, clean, None, None
+
+    @classmethod
+    def _make(cls, nvars: int, terms: dict) -> "Polynomial":
+        """Wrap clean terms (nonzero ints and non-integral Fractions) unchecked."""
+        p = object.__new__(cls)
+        p.nvars, p.terms, p._mult, p._pack = nvars, terms, None, None
+        return p
 
     # ------------------------------------------------------------------
     # constructors
@@ -126,9 +134,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, mono) -> Coeff:
-        return self.terms.get(tuple(mono), 0)
-
     @property
     def constant_term(self) -> Coeff:
         return self.terms.get((0,) * self.nvars, 0)
@@ -137,7 +142,7 @@ class Polynomial:
         """Largest total degree of a term, -inf for the zero polynomial."""
         if not self.terms:
             return -math.inf
-        return max(sum(m) for m in self.terms)
+        return max(map(sum, self.terms))
 
     def multiplicity(self):
         """Smallest total degree of a nonzero term, +inf for zero."""
@@ -146,14 +151,13 @@ class Polynomial:
         return self._mult
 
     def graded_part(self, degree: int) -> "Polynomial":
-        return Polynomial(
+        return Polynomial._make(
             self.nvars, {m: c for m, c in self.terms.items() if sum(m) == degree}
         )
 
     def truncate(self, order: int) -> "Polynomial":
-        return Polynomial(
-            self.nvars, {m: c for m, c in self.terms.items() if sum(m) < order}
-        )
+        kept = {m: c for m, c in self.terms.items() if sum(m) < order}
+        return self if len(kept) == len(self.terms) else Polynomial._make(self.nvars, kept)
 
     def variables_used(self):
         used = set()
@@ -177,7 +181,7 @@ class Polynomial:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def __neg__(self):
-        return Polynomial(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._make(self.nvars, {m: -c for m, c in self.terms.items()})
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -197,10 +201,10 @@ class Polynomial:
             v = out.get(m)
             s = c if v is None else v + c
             if s:
-                out[m] = s
+                out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
             elif v is not None:
                 del out[m]
-        return Polynomial(self.nvars, out)
+        return Polynomial._make(self.nvars, out)
 
     __radd__ = __add__
 
@@ -223,37 +227,36 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.mul_truncated(other, None)
+        return dot(self.nvars, ((self, other),))
 
     __rmul__ = __mul__
 
     def mul_truncated(self, other: "Polynomial", order) -> "Polynomial":
-        """Product, discarding all terms of total degree >= order.
+        """Product without the terms of total degree >= order (``order=None``:
+        the full product); :func:`dot` over the one pair."""
+        return dot(self.nvars, ((self, other),), order)
 
-        ``order=None`` means the full product.  This is the hot path of the
-        package; terms of the second factor are visited in increasing degree
-        so the truncation cut-off exits each inner loop early.
-        """
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return Polynomial.zero(self.nvars)
-        if order is not None and self.multiplicity() + other.multiplicity() >= order:
-            return Polynomial.zero(self.nvars)
-        if len(a) > len(b):
-            a, b = b, a
-        bl = sorted(((sum(m), m, c) for m, c in b.items()))
-        out = {}
-        get = out.get
-        for ma, ca in a.items():
-            da = sum(ma)
-            for db, mb, cb in bl:
-                if order is not None and da + db >= order:
-                    break
-                mono = tuple(map(int.__add__, ma, mb))
-                v = get(mono)
-                p = ca * cb
-                out[mono] = p if v is None else v + p
-        return Polynomial(self.nvars, out)
+    def _packed(self, base):
+        """(base, denominator, rows (degree, key, int numerator)) of the
+        terms of degree < base, sorted, for :func:`dot`; the packing for the
+        last base asked for is kept."""
+        pack = self._pack
+        if pack is None or pack[0] != base:
+            den = 1
+            for c in self.terms.values():
+                if type(c) is not int:
+                    den = math.lcm(den, c.denominator)
+            rows = []
+            for m, c in self.terms.items():
+                d = sum(m)
+                if d < base:
+                    k = 0
+                    for e in m:
+                        k = k * base + e
+                    rows.append((d, k, c if den == 1 else c.numerator * (den // c.denominator)))
+            rows.sort()
+            pack = self._pack = (base, den, rows)
+        return pack
 
     def __pow__(self, exponent: int):
         if exponent < 0:
@@ -261,6 +264,11 @@ class Polynomial:
         return self.pow_truncated(exponent, None)
 
     def pow_truncated(self, exponent: int, order) -> "Polynomial":
+        if len(self.terms) == 1:  # a single term raises termwise
+            ((mono, c),) = self.terms.items()
+            mono = tuple(e * exponent for e in mono)
+            kept = order is None or sum(mono) < order
+            return Polynomial(self.nvars, {mono: c**exponent} if kept else {})
         result = Polynomial.constant(self.nvars, 1)
         base = self if order is None else self.truncate(order)
         e = exponent
@@ -293,6 +301,57 @@ class Polynomial:
 
     def __str__(self):
         return poly_to_string(self)
+
+
+def dot(nvars: int, pairs, order=None) -> Polynomial:
+    """Sum of a*b over the (a, b) pairs, truncated below m^order
+    (``order=None``: exact): the one product loop of the package.
+
+    x^e packs to the key sum(e_i * B^(nvars-1-i)) with B = order (or one
+    more than the largest degree of a product), so a product's key is
+    ``ka + kb`` with no carry.  Each operand is packed once (int numerators
+    over one denominator, rows by degree so the cut-off ends each inner
+    loop); all products go into one int accumulator over the lcm of the
+    pair denominators, and a key is unpacked once per output term."""
+    base = order
+    if order is None:
+        pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+        base = 1 + max([a.total_degree() + b.total_degree() for a, b in pairs], default=0)
+    packs, den = [], 1
+    for a, b in pairs:
+        _, da, rowa = a._packed(base)
+        _, db, rowb = b._packed(base)
+        if not rowa or not rowb or rowa[0][0] + rowb[0][0] >= base:
+            continue
+        if len(rowa) > len(rowb):
+            rowa, rowb = rowb, rowa
+        if da * db != 1:
+            den = math.lcm(den, da * db)
+        packs.append((da * db, rowa, rowb))
+    acc, terms = {}, {}
+    get = acc.get
+    for pair_den, rowa, rowb in packs:
+        scale = den // pair_den
+        for d, ka, ca in rowa:
+            end = bisect_left(rowb, (base - d,))  # the first row of degree >= base - d
+            if not end:
+                break
+            if scale != 1:
+                ca *= scale
+            for _, kb, cb in rowb[:end] if end < len(rowb) else rowb:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+    for k, v in acc.items():
+        if v:
+            mono = [0] * nvars
+            for i in range(nvars - 1, 0, -1):
+                k, mono[i] = divmod(k, base)
+            mono[0] = k
+            if den != 1:
+                q, r = divmod(v, den)
+                v = Fraction(v, den) if r else q
+            terms[tuple(mono)] = v
+    return Polynomial._make(nvars, terms)
 
 
 class TruncatedSeries:
@@ -455,7 +514,7 @@ def monomials_below(weights, bound):
     return out
 
 
-def _image_list(images, nvars):
+def _image_list(images, nvars, what=None):
     out = []
     for im in images:
         if isinstance(im, TruncatedSeries):
@@ -466,6 +525,9 @@ def _image_list(images, nvars):
             raise TypeError("images must be Polynomial or TruncatedSeries")
     if len(out) != nvars:
         raise ValueError(f"expected {nvars} images, got {len(out)}")
+    for k, im in enumerate(out):
+        if what and im.constant_term:
+            raise ValueError(f"{what} of x{k + 1} has nonzero constant term")
     return out
 
 
@@ -505,17 +567,13 @@ def substitute(f, images, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     if isinstance(f, TruncatedSeries):
         order = min(order, f.order)
         f = f.poly
-    imgs = _image_list(images, f.nvars)
-    for k, im in enumerate(imgs):
-        if im.constant_term:
-            raise ValueError(f"image of x{k + 1} has nonzero constant term")
+    imgs = _image_list(images, f.nvars, "image")
     mults = [im.multiplicity() for im in imgs]
     powers = _Powers(imgs, order)
-    total = Polynomial.zero(f.nvars)
-    for mono, coeff in f.terms.items():
-        if sum(e * m for e, m in zip(mono, mults) if e) < order:
-            total = total + powers.get(mono) * coeff
-    return TruncatedSeries(total, order)
+    n = f.nvars
+    pairs = [(Polynomial._make(n, {(0,) * n: c}), powers.get(mono)) for mono, c in f.terms.items()
+             if sum(e * m for e, m in zip(mono, mults) if e) < order]
+    return TruncatedSeries(dot(n, pairs, order), order)
 
 
 def substitute_shifted(f, shifts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -530,18 +588,12 @@ def substitute_shifted(f, shifts, order: int = DEFAULT_ORDER) -> TruncatedSeries
     if isinstance(f, TruncatedSeries):
         order = min(order, f.order)
         f = f.poly
-    gs = _image_list(shifts, f.nvars)
-    for k, g in enumerate(gs):
-        if g.constant_term:
-            raise ValueError(f"shift of x{k + 1} has nonzero constant term")
+    gs = _image_list(shifts, f.nvars, "shift")
     mults = [g.multiplicity() if not g.is_zero() else order for g in gs]
     powers = _Powers(gs, order)
-    total = f.truncate(order)
-    for alpha in monomials_below(mults, order)[1:]:  # alpha != 0
-        dpf = divided_power(f, alpha)
-        if not dpf.is_zero():
-            total = total + dpf.mul_truncated(powers.get(alpha), order)
-    return TruncatedSeries(total, order)
+    pairs = [(dpf, powers.get(alpha)) for alpha in monomials_below(mults, order)[1:]  # alpha != 0
+             if not (dpf := divided_power(f, alpha)).is_zero()]
+    return TruncatedSeries(f + dot(f.nvars, pairs, order), order)
 
 
 def series_sqrt(s: TruncatedSeries) -> TruncatedSeries:

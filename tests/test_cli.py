@@ -336,3 +336,27 @@ def test_indexed_letter_is_a_usage_error(capsys):
     code, _, err = run(capsys, "milnor", "--poly", "y2^2 + x^3")
     assert code == 2
     assert "implicit multiplication" in err
+
+
+@pytest.mark.parametrize("grid", ["0", "1", "-2"])
+def test_grid_below_two_is_a_usage_error(capsys, grid):
+    # --grid 0 used to run the default grid, 1 and -2 an empty table
+    code, out, err = run(capsys, "check", "thmB", "--grid", grid)
+    assert code == 2
+    assert "--grid must be at least 2" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("cases", ["0", "-1"])
+def test_selftest_cases_below_one_is_a_usage_error(capsys, cases):
+    code, out, err = run(capsys, "selftest", "--cases", cases)
+    assert code == 2
+    assert "--cases must be at least 1" in err
+    assert out == ""
+
+
+def test_milnor_order_cap_below_one_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "milnor", "--poly", "x^3 + y^3", "--order-cap", "0")
+    assert code == 2
+    assert "--order-cap must be at least 1" in err
+    assert out == ""

@@ -1,5 +1,6 @@
 """Coordinate maps, morsification, and the absorption iterations."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -513,3 +514,18 @@ def test_rank2_map_is_pinned_at_order_8():
     ]
     assert res.diag_coeffs == [1]
     assert verify_map(f + g, res.normal_form(), res.map, 8) == (True, None)
+
+
+@pytest.mark.parametrize(
+    "order, digest",
+    [
+        (12, "42f5ca8bc9a973d64fa7a974eb97743e2c5c207b3be68de36570b1095dddcbba"),
+        (16, "7583928e13783e981ca03366b7277dc19fa6e60e479ce1b68da070fb8da44a16"),
+    ],
+)
+def test_tougeron_map_digest_is_pinned(order, digest):
+    # SHA-256 of repr(map) as the tuple-monomial product loop printed it
+    f = P("x^3 + y^3", 2)
+    g = P("x^4 + x^2*y^2 + y^4 + x^5*y", 2)
+    psi = tougeron(f, jf2_witness(f, g, order), order)
+    assert hashlib.sha256(repr(psi).encode()).hexdigest() == digest

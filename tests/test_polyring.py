@@ -17,6 +17,7 @@ from lctlab.polyring import (
     TruncatedSeries,
     _image_list,
     divided_power,
+    dot,
     multiplicity,
     parse_poly,
     partial_derivative,
@@ -415,3 +416,136 @@ def test_only_x_takes_an_index():
     for text in ("y2", "z1", "w3"):
         with pytest.raises(ParseError, match="implicit"):
             P(text, 4)
+
+
+# ---------------------------------------------------------------- product kernel
+
+# The product loop as it was before every product went through ``dot``
+# (tuple monomials, one int or Fraction per product), kept verbatim as the
+# oracle of the packed kernel.
+
+
+def _mul_truncated_tuples(self, other, order):
+    a, b = self.terms, other.terms
+    if not a or not b:
+        return Polynomial.zero(self.nvars)
+    if order is not None and self.multiplicity() + other.multiplicity() >= order:
+        return Polynomial.zero(self.nvars)
+    if len(a) > len(b):
+        a, b = b, a
+    bl = sorted(((sum(m), m, c) for m, c in b.items()))
+    out = {}
+    get = out.get
+    for ma, ca in a.items():
+        da = sum(ma)
+        for db, mb, cb in bl:
+            if order is not None and da + db >= order:
+                break
+            mono = tuple(map(int.__add__, ma, mb))
+            v = get(mono)
+            p = ca * cb
+            out[mono] = p if v is None else v + p
+    return Polynomial(self.nvars, out)
+
+
+_BIG = 2**70 + 1
+_KERNEL_COEFFS = (
+    -3, -1, 1, 2, 7, Fraction(1, 2), Fraction(-2, 3), Fraction(5, _BIG),
+    Fraction(_BIG, 3), Fraction(-1, _BIG), _BIG,
+)
+
+
+def _typed(p):
+    """Terms with the type of each coefficient, so that an integral value
+    left as a Fraction does not compare equal to the int."""
+    return {m: (type(c), c) for m, c in p.terms.items()}
+
+
+def _kernel_operand(rng, n, order):
+    """Terms of degree 0..order+2, sometimes one of degree order-1 in a
+    single variable (the largest digit of a packed key), sometimes rational
+    with denominators up to 2^70+1."""
+    top = (order or 8) + 2
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        mono = [0] * n
+        for _ in range(rng.randint(0, top)):
+            mono[rng.randrange(n)] += 1
+        terms[tuple(mono)] = rng.choice(_KERNEL_COEFFS[:5] if rng.random() < 0.4 else _KERNEL_COEFFS)
+    if order and order > 1 and rng.random() < 0.3:
+        mono = [0] * n
+        mono[rng.randrange(n)] = order - 1
+        terms[tuple(mono)] = rng.choice(_KERNEL_COEFFS)
+    if rng.random() < 0.1:
+        terms = {}
+    return Polynomial(n, terms)
+
+
+def _kernel_corpus(seed, count):
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 1 + k % 4
+        order = rng.choice((None, None, 1, rng.randint(2, 12)))
+        yield n, order, _kernel_operand(rng, n, order), _kernel_operand(rng, n, order)
+
+
+def test_mul_truncated_matches_the_tuple_oracle():
+    cases = 0
+    for n, order, a, b in _kernel_corpus(7919, 360):
+        # one operand reused at a second order exercises a repacked key base
+        for o in (order, None if order else 5):
+            got = a.mul_truncated(b, o)
+            want = _mul_truncated_tuples(a, b, o)
+            assert _typed(got) == _typed(want), (str(a), str(b), o)
+            assert all(type(c) is int or c.denominator != 1 for c in got.terms.values())
+            cases += 1
+    assert cases >= 300
+
+
+def test_mul_truncated_edge_cases():
+    x, y = Polynomial.variable(2, 1), Polynomial.variable(2, 2)
+    # cancellation inside one product, and products that vanish below the order
+    assert _typed((x - y).mul_truncated(x + y, None)) == {(2, 0): (int, 1), (0, 2): (int, -1)}
+    assert (x * x).mul_truncated(y, 3).is_zero()
+    assert Polynomial.constant(2, 3).mul_truncated(Polynomial.constant(2, 5), 1).terms == {(0, 0): 15}
+    assert (x + 1).mul_truncated(y + 1, 1).terms == {(0, 0): 1}
+    # halves and thirds that multiply to integers come back as ints
+    half = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(2, 3)})
+    two = Polynomial(2, {(0, 0): 2, (1, 0): 3})
+    assert _typed(half.mul_truncated(two, None)) == _typed(_mul_truncated_tuples(half, two, None))
+    assert type(half.mul_truncated(two, None).terms[(1, 0)]) is int
+    # the largest exponent below the order in one variable, in four variables
+    e = Polynomial.monomial(4, (0, 0, 9, 0), _BIG)
+    f = Polynomial(4, {(0, 0, 0, 0): Fraction(1, _BIG), (0, 0, 0, 1): 1})
+    assert _typed(e.mul_truncated(f, 10)) == {(0, 0, 9, 0): (int, 1)}
+
+
+def test_dot_is_the_sum_of_oracle_products():
+    rng = random.Random(6007)
+    for k in range(120):
+        n = 1 + k % 4
+        order = rng.choice((None, 1, rng.randint(2, 12)))
+        pairs = [
+            (_kernel_operand(rng, n, order), _kernel_operand(rng, n, order))
+            for _ in range(rng.randint(1, 5))
+        ]
+        want = Polynomial.zero(n)
+        for a, b in pairs:
+            want = want + _mul_truncated_tuples(a, b, order)
+        assert _typed(dot(n, pairs, order)) == _typed(want), (order, [(str(a), str(b)) for a, b in pairs])
+        # a generator of pairs is consumed once
+        assert _typed(dot(n, iter(pairs), order)) == _typed(want)
+
+
+def test_dot_cancels_to_the_zero_polynomial():
+    a = P("1/3*x*y - 2*y^2 + 5", 2)
+    b = Polynomial(2, {(1, 0): Fraction(7, _BIG), (0, 3): -4})
+    assert dot(2, [(a, b), (-a, b)], None).terms == {}
+    assert dot(2, [(a, b), (a, -b)], 4).terms == {}
+    assert dot(2, [], 5).terms == {} and dot(2, [], None).terms == {}
+
+
+def test_sums_normalize_integral_fractions():
+    half = P("1/2*x + 1/3*y", 2)
+    assert _typed(half + half) == {(1, 0): (int, 1), (0, 1): (Fraction, Fraction(2, 3))}
+    assert (half - half).terms == {}
