@@ -160,7 +160,14 @@ def emit_report(command: str, config: dict, results, fmt: str, out=None):
 # subcommand handlers; each returns its result rows and raises on failure
 
 
+# the flags each kind of ``lct`` reads; the others are refused
+LCT_FLAGS = {"diagonal": ("n", "d"), "det": ("n",), "monomial": ("ideal", "nvars")}
+
+
 def _cmd_lct(args):
+    for name in ("n", "d", "ideal", "nvars"):
+        if getattr(args, name) is not None and name not in LCT_FLAGS[args.kind]:
+            raise ValueError(f"--{name} does not apply to lct {args.kind}")
     if args.kind == "diagonal":
         if args.n is None or args.d is None or args.n < 2 or args.d < 2:
             raise ValueError("lct diagonal needs --n >= 2 and --d >= 2")
@@ -178,7 +185,7 @@ def _cmd_lct(args):
     if args.kind == "det":
         if args.n is None or args.n < 2:
             raise ValueError("lct det needs --n >= 2")
-        cert = lct_det_fJ2(args.n)
+        cert = lct_det_fJ2(args.n, budget=args.budget)
         print(cert.value)
         return [
             {

@@ -403,56 +403,75 @@ def lct_diag_bruteforce(n: int, d: int, bound: int = 50) -> Fraction:
     return best
 
 
-def _partitions_bounded(n_parts: int, total: int):
-    """Weakly decreasing non-negative integer tuples of given length with
-    sum <= total (and at least the first two entries positive)."""
-
-    def rec(i, prev, remaining, acc):
-        if i == n_parts:
-            yield tuple(acc)
-            return
-        for v in range(min(prev, remaining), -1, -1):
-            acc.append(v)
-            yield from rec(i + 1, v, remaining - v, acc)
-            acc.pop()
-
-    yield from rec(0, total, total, [])
+def _det_slice_classes(n: int, bound: int) -> dict:
+    """{lambda_1: largest T} over the classes (lambda_1, T = lambda_2 + ... +
+    lambda_n) of partitions with sum <= bound and lambda_2 >= 1; no tail
+    entry exceeds lambda_1, so T <= (n-1) lambda_1."""
+    return {l1: min(bound - l1, (n - 1) * l1) for l1 in range(1, bound)}
 
 
-def lct_det_fJ2(n: int) -> LctCertificate:
+def _det_class_codim(l1: int, t: int) -> int:
+    """Codimension of the greedy tuple (l1, l1, ..., l1, r, 0, ...) of the
+    class (l1, t), whose tail holds q copies of l1 and t = q*l1 + r."""
+    q, r = divmod(t, l1)
+    return l1 * (q + 1) ** 2 + r * (2 * q + 3)
+
+
+def _det_slice_minimum(n: int, bound: int, budget=None):
+    """(least codim / min(ord_f, 2 ord_J), least partition reaching it) over
+    the partitions with two parts and sum(lambda) <= bound, one class at a
+    time (see lct_det_fJ2).  Visited by lambda_1 and then T, the greedy tuples
+    come in lexicographic order, so the first class reaching the least ratio
+    gives the least partition.  The class count is checked against ``budget``
+    before the scan."""
+    caps = _det_slice_classes(n, bound)
+    check_budget(
+        sum(caps.values()), budget, what="determinantal slice minimization", unit="slice classes"
+    )
+    best_num, best_den = 1, 0  # the ratio codim / denom of best_class; 1/0 is +inf
+    best_class = None
+    for l1, cap in caps.items():
+        for t in range(1, cap + 1):
+            codim, denom = _det_class_codim(l1, t), min(l1 + t, 2 * t)
+            # compare codim / denom with the best ratio by cross-multiplication
+            if codim * best_den < best_num * denom:
+                best_num, best_den, best_class = codim, denom, (l1, t)
+    l1, t = best_class
+    q, r = divmod(t, l1)
+    return Fraction(best_num, best_den), ((l1,) * (q + 1) + (r,) + (0,) * n)[:n]
+
+
+def lct_det_fJ2(n: int, budget=None) -> LctCertificate:
     """Threshold of (f) + J_f^2 for the generic n x n determinant: exactly 2.
 
     Minimizes codim / min(ord_f, 2 ord_J) over matrix-orbit partitions with
-    at least two parts, by enumerating the scale slice sum(lambda) <= 4n and
-    certifying the lower bound 2 symbolically (see _det_lower_bound_argument).
+    at least two parts on the scale slice sum(lambda) <= 4n, one class
+    (lambda_1, T = lambda_2 + ... + lambda_n) at a time.  In a class the
+    denominator min(lambda_1 + T, 2T) is fixed and the codim weights 2i+1
+    (0-indexed) strictly increase, so the greedy tail (lambda_1, ...,
+    lambda_1, r, 0, ...), which majorizes every other tail of sum T with
+    entries <= lambda_1, is the unique class minimizer; its codim is
+    lambda_1 (q+1)^2 + r(2q+3) for T = q*lambda_1 + r.  The lower bound 2 is
+    certified symbolically for every partition (see
+    _det_lower_bound_argument).  ``budget`` bounds the number of classes,
+    about 8n^2.
     """
     if n < 2:
         raise ValueError("need n >= 2")
     bound = 4 * n
-    best_num, best_den = 1, 0  # the ratio codim / denom of best_lam; 1/0 is +inf
-    best_lam = None
-    for lam in _partitions_bounded(n, bound):
-        if lam[1] == 0:
-            continue
-        codim = sum(l * (2 * i + 1) for i, l in enumerate(lam))
-        denom = min(sum(lam), 2 * sum(lam[1:]))
-        # compare codim / denom with the best ratio by cross-multiplication
-        lhs, rhs = codim * best_den, best_num * denom
-        if lhs < rhs or (lhs == rhs and lam < best_lam):
-            best_num, best_den = codim, denom
-            best_lam = lam
-    best = Fraction(best_num, best_den)
+    best, best_lam = _det_slice_minimum(n, bound, budget)
     if not _det_lower_bound_argument(n):
         raise AssertionError("symbolic lower bound failed")
     if best != 2:
-        raise AssertionError(f"enumeration found {best}, expected 2")
+        raise AssertionError(f"slice minimum is {best}, expected 2")
     cert = LctCertificate(
         value=Fraction(2),
         witness=PartitionWitness(best_lam),
         bound_proof=(
-            f"enumeration over the slice sum(lambda) <= {bound} plus the "
-            "symbolic bound codim >= 2*min(ord_f, 2 ord_J) valid for every "
-            "partition"
+            f"minimum over the slice sum(lambda) <= {bound}, per class "
+            "(lambda_1, tail sum) at its greedy tail, which majorizes the "
+            "others; plus the symbolic bound codim >= 2*min(ord_f, 2 ord_J) "
+            "valid for every partition"
         ),
     )
     if not cert.check(None):

@@ -81,6 +81,33 @@ def test_lct_monomial_budget_exit_code(capsys):
     assert "budget" in err
 
 
+def test_lct_det_budget_exit_code(capsys):
+    code, out, _ = run(capsys, "--budget", "160", "lct", "det", "--n", "5")
+    assert code == 0 and out.splitlines()[0] == "2"
+    code, _, err = run(capsys, "--budget", "3", "lct", "det", "--n", "5")
+    assert code == 3
+    assert "needs 160 slice classes, budget is 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lct", "det", "--n", "3", "--d", "4"],
+        ["lct", "det", "--n", "3", "--ideal", "x^2"],
+        ["lct", "det", "--n", "3", "--nvars", "2"],
+        ["lct", "diagonal", "--n", "3", "--d", "4", "--ideal", "x^2"],
+        ["lct", "diagonal", "--n", "3", "--d", "4", "--nvars", "2"],
+        ["lct", "monomial", "--ideal", "x^3,y^3", "--n", "2"],
+        ["lct", "monomial", "--ideal", "x^3,y^3", "--d", "3"],
+    ],
+)
+def test_lct_flag_of_another_kind_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "does not apply to lct" in err
+    assert out == ""
+
+
 def test_check_failure_exit_code(capsys):
     # x is not in the Jacobian-square ideal of x^3
     code, _, err = run(

@@ -15,6 +15,9 @@ from lctlab.budget import BudgetExceededError
 from lctlab.jacobian import IdealGens, ideal_power
 from lctlab.lct import (
     RayValuation,
+    _det_class_codim,
+    _det_slice_classes,
+    _det_slice_minimum,
     check_corD,
     check_theorems,
     det_roots,
@@ -289,6 +292,95 @@ def test_det_value_and_witness(n):
     assert cert.value == 2
     assert cert.witness.lam == tuple([1, 1] + [0] * (n - 2))
     assert cert.check(None)
+
+
+def _partitions_bounded(n_parts: int, total: int):
+    """Weakly decreasing non-negative integer tuples of given length with
+    sum <= total (and at least the first two entries positive)."""
+
+    def rec(i, prev, remaining, acc):
+        if i == n_parts:
+            yield tuple(acc)
+            return
+        for v in range(min(prev, remaining), -1, -1):
+            acc.append(v)
+            yield from rec(i + 1, v, remaining - v, acc)
+            acc.pop()
+
+    yield from rec(0, total, total, [])
+
+
+def _det_minimum_enumerated(n, bound):
+    """Oracle: the least ratio codim / denom over every partition of the slice
+    sum(lambda) <= bound with two parts, the least partition reaching it, and
+    the number of classes (lambda_1, sum of the tail) met on the way."""
+    best_num, best_den = 1, 0  # the ratio codim / denom of best_lam; 1/0 is +inf
+    best_lam = None
+    classes = set()
+    for lam in _partitions_bounded(n, bound):
+        if lam[1] == 0:
+            continue
+        classes.add((lam[0], sum(lam[1:])))
+        codim = sum(l * (2 * i + 1) for i, l in enumerate(lam))
+        denom = min(sum(lam), 2 * sum(lam[1:]))
+        # compare codim / denom with the best ratio by cross-multiplication
+        lhs, rhs = codim * best_den, best_num * denom
+        if lhs < rhs or (lhs == rhs and lam < best_lam):
+            best_num, best_den = codim, denom
+            best_lam = lam
+    return Fraction(best_num, best_den), best_lam, len(classes)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_det_slice_minimum_matches_the_enumeration(n):
+    # same value and witness, and the budget charges exactly the classes there are
+    for bound in range(2, 4 * n + 1):
+        value, lam, classes = _det_minimum_enumerated(n, bound)
+        assert _det_slice_minimum(n, bound) == (value, lam), bound
+        assert sum(_det_slice_classes(n, bound).values()) == classes, bound
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_det_class_minimum_is_the_unique_greedy_tail(n):
+    bound = 4 * n
+    classes = {}
+    for lam in _partitions_bounded(n, bound):
+        if lam[1] == 0:
+            continue
+        codim = sum(l * (2 * i + 1) for i, l in enumerate(lam))
+        classes.setdefault((lam[0], sum(lam[1:])), []).append((codim, lam))
+    caps = _det_slice_classes(n, bound)
+    assert set(classes) == {(l1, t) for l1, cap in caps.items() for t in range(1, cap + 1)}
+    for (l1, t), members in classes.items():
+        q, r = divmod(t, l1)
+        greedy = ((l1,) * (q + 1) + (r,) + (0,) * n)[:n]
+        least = min(codim for codim, _ in members)
+        assert sum(l * (2 * i + 1) for i, l in enumerate(greedy)) == l1 * (q + 1) ** 2 + r * (2 * q + 3)
+        assert _det_class_codim(l1, t) == least
+        assert [lam for codim, lam in members if codim == least] == [greedy]
+
+
+def test_det_budget_counts_slice_classes():
+    # n = 5, slice sum <= 20: caps 4, 8, 12, 16 for lambda_1 = 1..4, then 15, 14, ..., 1
+    assert sum(_det_slice_classes(5, 20).values()) == 160
+    assert lct_det_fJ2(5, budget=160).value == 2
+    with pytest.raises(BudgetExceededError, match="needs 160 slice classes, budget is 159"):
+        lct_det_fJ2(5, budget=159)
+
+
+@pytest.mark.parametrize("n", [12, 24, 40])
+def test_det_scales_to_large_n(n):
+    cert = lct_det_fJ2(n)
+    assert cert.value == 2
+    assert cert.witness.lam == (1, 1) + (0,) * (n - 2)
+    assert cert.check(None)
+
+
+def test_det_cli_at_n_40_finishes():
+    # the partition enumeration took 3.9 s at n = 12 and did not finish at n = 40
+    proc = _run_python("-m", "lctlab.cli", "lct", "det", "--n", "40", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "2"
 
 
 # ---------------------------------------------------------------- root tables
