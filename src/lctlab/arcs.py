@@ -26,7 +26,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .budget import check_budget
-from .expsum import _eval_terms_mod, _int_terms, _residue_grids
+from .expsum import _eval_terms_mod, _int_terms, _residue_grids, _vanishing
 from .jacobian import IdealGens
 from .polyring import Polynomial, partial_derivative
 
@@ -182,17 +182,16 @@ def count_contact_jets(
     free = p ** (n * (m + 1 - e))  # levels e..m are unconstrained
     grids = _residue_grids(n, p)
     shape = (p,) * n
-    zero = np.ones(shape, dtype=bool)
-    jac = []
-    for g in polys:
-        terms = _int_terms(g)
-        zero &= np.broadcast_to(_eval_terms_mod(terms, grids, p), shape) == 0
-        jac.append([
+    zero = np.broadcast_to(_vanishing([_int_terms(g) for g in polys], grids, p), shape)
+    jac = [
+        [
             np.broadcast_to(
                 _eval_terms_mod(_int_terms(partial_derivative(g, j)), grids, p), shape
             )
             for j in range(1, n + 1)
-        ])
+        ]
+        for g in polys
+    ]
     coords = [[0] * (m + 1) for _ in range(n)]
 
     def lift(ell):

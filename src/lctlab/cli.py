@@ -88,15 +88,29 @@ def parse_ideal(text: str, nvars: int) -> IdealGens:
     return IdealGens(nvars, gens)
 
 
+# the flags each kind of ``lct`` and ``check`` reads; the others are refused
+KIND_FLAGS = {
+    "lct": {"diagonal": ("n", "d"), "det": ("n",), "monomial": ("ideal", "nvars")},
+    "check": {"thmB": ("grid",), "thmA": ("grid",), "corD": ("ideal", "nvars"), "milnor": ()},
+}
+
+
 def _check_args(args, budget: int):
     """Usage errors: ``--m``, ``--k``, ``--mmax``, ``--e``, ``--cases`` or
-    ``--order-cap`` below 1, ``--grid`` below 2, or ``--p`` not prime (one above
-    the budget is left to the command to refuse, bounding the trial division)."""
+    ``--order-cap`` below 1, ``--grid`` below 2, a flag its kind of ``lct`` or
+    ``check`` does not read, or ``--p`` not prime (one above the budget is left
+    to the command to refuse, bounding the trial division)."""
     least_values = {"m": 1, "k": 1, "mmax": 1, "e": 1, "cases": 1, "order_cap": 1, "grid": 2}
     for name, least in least_values.items():
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise ValueError(f"--{name.replace('_', '-')} must be at least {least}")
+    kinds = KIND_FLAGS.get(args.command)
+    if kinds is not None:
+        kind = args.kind if args.command == "lct" else args.what
+        for name in dict.fromkeys(flag for flags in kinds.values() for flag in flags):
+            if getattr(args, name) is not None and name not in kinds[kind]:
+                raise ValueError(f"--{name} does not apply to {args.command} {kind}")
     p = getattr(args, "p", None)
     if p is None or p > budget:
         return
@@ -160,14 +174,7 @@ def emit_report(command: str, config: dict, results, fmt: str, out=None):
 # subcommand handlers; each returns its result rows and raises on failure
 
 
-# the flags each kind of ``lct`` reads; the others are refused
-LCT_FLAGS = {"diagonal": ("n", "d"), "det": ("n",), "monomial": ("ideal", "nvars")}
-
-
 def _cmd_lct(args):
-    for name in ("n", "d", "ideal", "nvars"):
-        if getattr(args, name) is not None and name not in LCT_FLAGS[args.kind]:
-            raise ValueError(f"--{name} does not apply to lct {args.kind}")
     if args.kind == "diagonal":
         if args.n is None or args.d is None or args.n < 2 or args.d < 2:
             raise ValueError("lct diagonal needs --n >= 2 and --d >= 2")
@@ -371,7 +378,7 @@ def _cmd_check(args):
             for d in range(2, grid + 1):
                 ok = add(check_theorems("diagonal", n, d)) and ok
         for n in range(2, min(grid, 6) + 1):
-            ok = add(check_theorems("determinantal", n)) and ok
+            ok = add(check_theorems("determinantal", n, budget=args.budget)) and ok
         if not ok:
             raise CheckFailure("a family regime check failed")
         return rows
@@ -409,15 +416,14 @@ def _cmd_check(args):
                 f = Polynomial.zero(n)
                 for i in range(1, n + 1):
                     f = f + Polynomial.variable(n, i) ** d
-                mu = milnor_number(f)
-                expected = (d - 1) ** n
                 rep = check_milnor_inequality(f, Fraction(n, d))
-                good = mu == expected and rep.holds and rep.equality == (d == 2)
+                expected = (d - 1) ** n
+                good = rep.mu == expected and rep.holds and rep.equality == (d == 2)
                 rows.append(
                     {
                         "n": n,
                         "d": d,
-                        "mu": mu,
+                        "mu": rep.mu,
                         "expected": expected,
                         "bound_value": rep.value,
                         "bound": rep.bound,

@@ -6,10 +6,15 @@ The normalized sum
 
 is computed exactly-first: a stationary-phase recursion builds the integer
 histogram of residues of f, and floating point enters only in the final
-evaluation at the p^m-th roots of unity with compensated summation.  That
-makes |E| accurate to ~1e-12 regardless of how many points were counted,
-and makes all the set-identity checks exact integer comparisons of
+evaluation at the p^m-th roots of unity: libm cosines and sines of the
+nonzero bins, summed by one exactly rounded ``math.fsum`` at every size.
+That makes |E| accurate to ~1e-12 regardless of how many points were
+counted, and makes all the set-identity checks exact integer comparisons of
 histograms followed by a single root-of-unity evaluation of the difference.
+
+Residue grids have one evaluator, ``_eval_terms_mod``; ``_vanishing`` on top
+of it gives every zero locus (singular residues, restriction masks, the cuts
+of the identity checks and, in ``arcs``, the zeros of the generators).
 
 One census, ``_tube_counts``, counts every histogram.  It evaluates f and
 its gradient on the residues x0 mod q = p^level (level 1 unless a caller
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -45,14 +51,10 @@ from .polyring import Polynomial, partial_derivative
 
 
 def _int_terms(f: Polynomial):
-    terms = []
-    for mono, coeff in f.terms.items():
-        if isinstance(coeff, Fraction):
-            if coeff.denominator != 1:
-                raise ValueError("exponential sums need integer coefficients")
-            coeff = int(coeff)
-        terms.append((mono, coeff))
-    return terms
+    # a Polynomial keeps integral coefficients as ints, so a Fraction is not one
+    if any(isinstance(c, Fraction) for c in f.terms.values()):
+        raise ValueError("exponential sums need integer coefficients")
+    return list(f.terms.items())
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -88,6 +90,15 @@ def _eval_terms_mod(terms, grids, modulus):
     if total is None:
         return np.zeros(1, dtype=np.int64)
     return total
+
+
+def _vanishing(term_lists, grids, modulus):
+    """Broadcastable mask of the residues where every term list vanishes mod
+    modulus (all of them when there is no term list)."""
+    mask = np.ones(1, dtype=bool)
+    for terms in term_lists:
+        mask = mask & (_eval_terms_mod(terms, grids, modulus) == 0)
+    return mask
 
 
 @dataclass
@@ -162,14 +173,12 @@ def _tube_counts(f: Polynomial, p, m, mask_fn=None, level=1):
     grids = _residue_grids(n, q)
     shape = (q,) * n
     vals = np.broadcast_to(_eval_terms_mod(terms, grids, modulus), shape)
-    singular = np.ones(shape, dtype=bool)
-    for i in range(1, n + 1):
-        df = _int_terms(partial_derivative(f, i))
-        singular &= np.broadcast_to(_eval_terms_mod(df, grids, p), shape) == 0
+    grad = [_int_terms(partial_derivative(f, i)) for i in range(1, n + 1)]
+    singular = np.broadcast_to(_vanishing(grad, grids, p), shape)
     keep = np.broadcast_to(True if mask_fn is None else mask_fn(grids), shape)
     smooth = np.bincount(vals[keep & ~singular] % q, minlength=q)
     counts = np.tile(smooth * p ** ((m - level) * (n - 1)), p ** (m - level))
-    singular &= keep
+    singular = singular & keep
     if m <= level + 1:
         counts += np.bincount(vals[singular], minlength=modulus) * p ** ((m - level) * n)
         return counts
@@ -224,24 +233,18 @@ def residue_histogram(f: Polynomial, p: int, m: int, budget=None) -> ResidueHist
 def exp_sum_from_histogram(hist: ResidueHistogram) -> complex:
     """Evaluate sum(counts[c] * exp(2 pi i c / p^m)) / p^(m n).
 
-    Compensated summation over the at most p^m distinct residues; for very
-    large moduli numpy's pairwise summation is used instead of fsum.
+    One path for every size: the angles 2 pi c / p^m and the float weights
+    of the nonzero bins are formed in numpy (the same IEEE products and
+    quotients as scalar code), the cosines and sines are libm's
+    ``math.cos``/``math.sin``, and each of the two sums of weight times
+    root is an exactly rounded ``math.fsum``.
     """
-    modulus = hist.modulus
     norm = hist.p ** (hist.m * hist.nvars)
     idx = np.nonzero(hist.counts)[0]
-    if len(idx) <= (1 << 20):
-        re = math.fsum(
-            int(hist.counts[c]) * math.cos(2 * math.pi * int(c) / modulus) for c in idx
-        )
-        im = math.fsum(
-            int(hist.counts[c]) * math.sin(2 * math.pi * int(c) / modulus) for c in idx
-        )
-    else:
-        ang = 2 * np.pi * idx.astype(np.float64) / modulus
-        w = hist.counts[idx].astype(np.float64)
-        re = float(np.dot(w, np.cos(ang)))
-        im = float(np.dot(w, np.sin(ang)))
+    ang = (2 * math.pi * idx.astype(np.float64) / hist.modulus).tolist()
+    w = hist.counts[idx].astype(np.float64).tolist()
+    re = math.fsum(map(operator.mul, w, map(math.cos, ang)))
+    im = math.fsum(map(operator.mul, w, map(math.sin, ang)))
     return complex(re / norm, im / norm)
 
 
@@ -256,19 +259,7 @@ def _reduction_mask(z_gens: Optional[IdealGens], p: int):
     if z_gens is None:
         return None
     zterms = [_int_terms(g) for g in z_gens.gens]
-
-    def mask(grids):
-        red = [g % p for g in grids]
-        keep = None
-        for terms in zterms:
-            v = _eval_terms_mod(terms, red, p)
-            cond = v == 0
-            keep = cond if keep is None else (keep & cond)
-        if keep is None:
-            raise AssertionError("empty restriction")
-        return keep
-
-    return mask
+    return lambda grids: _vanishing(zterms, grids, p)
 
 
 def exp_sum_restricted(
@@ -369,10 +360,8 @@ def igusa_identity_check(
     q = p ** (m - 1)
     grids = _residue_grids(n, q)
     shape = (q,) * n
-    fcut = np.broadcast_to(_eval_terms_mod(terms, grids, q) == 0, shape)
-    jcut = np.ones(shape, dtype=bool)
-    for g in jf2.gens:
-        jcut &= np.broadcast_to(_eval_terms_mod(_int_terms(g), grids, q) == 0, shape)
+    fcut = np.broadcast_to(_vanishing([terms], grids, q), shape)
+    jcut = _vanishing([_int_terms(g) for g in jf2.gens], grids, q)
     # every x is componentwise >= x mod q, so the first point of the cut
     # (Z/p^m)^n in lexicographic order is its first residue mod q
     off_j = (fcut & ~jcut).ravel()

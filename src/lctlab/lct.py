@@ -589,13 +589,14 @@ class FamilyReport:
         return row
 
 
-def check_theorems(family: str, n: int, d: Optional[int] = None) -> FamilyReport:
+def check_theorems(family: str, n: int, d: Optional[int] = None, budget=None) -> FamilyReport:
     """Compare the minimal exponent with lct(f, J_f^2) on one family member.
 
     For the diagonal family the expected regimes are: equality exactly when
     d = 2 or d >= n, strict inequality exactly when 3 <= d < n, and
     lct(f, J_f^2) > 1 exactly when d < n.  For the determinantal family both
-    invariants equal 2.  All comparisons are exact rationals.
+    invariants equal 2, and ``budget`` bounds the slice classes of its
+    threshold (see ``lct_det_fJ2``).  All comparisons are exact rationals.
     """
     if family == "diagonal":
         if d is None:
@@ -609,7 +610,7 @@ def check_theorems(family: str, n: int, d: Optional[int] = None) -> FamilyReport
         expected_above = d < n
     elif family == "determinantal":
         alpha = det_roots(n).min_exponent
-        cert = lct_det_fJ2(n)
+        cert = lct_det_fJ2(n, budget=budget)
         lct_fj2 = cert.value
         params = {"n": n}
         expected_equal = True

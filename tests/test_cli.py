@@ -108,6 +108,34 @@ def test_lct_flag_of_another_kind_is_a_usage_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "milnor", "--grid", "3"],
+        ["check", "milnor", "--ideal", "x^2"],
+        ["check", "milnor", "--nvars", "2"],
+        ["check", "thmA", "--ideal", "x^2"],
+        ["check", "thmB", "--nvars", "2"],
+        ["check", "corD", "--grid", "3"],
+    ],
+)
+def test_check_flag_its_kind_does_not_read_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert f"does not apply to check {argv[1]}" in err
+    assert out == ""
+
+
+def test_check_thm_budget_reaches_the_determinantal_rows(capsys):
+    # the determinantal rows n = 2..6 visit 16 / 48 / 96 / 160 / 240 slice classes
+    code, _, err = run(capsys, "--budget", "239", "check", "thmB", "--grid", "8")
+    assert code == 3
+    assert "needs 240 slice classes, budget is 239" in err
+    code, out, _ = run(capsys, "--budget", "240", "check", "thmB", "--grid", "8")
+    assert code == 0
+    assert all(row["consistent"] for row in json.loads(out)["results"])
+
+
 def test_check_failure_exit_code(capsys):
     # x is not in the Jacobian-square ideal of x^3
     code, _, err = run(

@@ -111,6 +111,13 @@ def test_restricted_sum_examples():
     assert abs(r - 0.2) < 1e-12
 
 
+def test_non_integer_restriction_is_refused_before_the_budget():
+    # the restriction's terms are converted when its mask is built, ahead of
+    # the census and so of its budget check
+    with pytest.raises(ValueError, match="integer coefficients"):
+        exp_sum_restricted(P("x^2", 1), 5, 2, ideal(1, "1/2*x"), budget=1)
+
+
 def test_restricted_sum_agrees_with_high_vanishing_cut():
     # for m = 2 the tube sum equals the sum over ord f >= 1 within the tube
     f = P("x^3 + y^3", 2)

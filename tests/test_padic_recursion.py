@@ -3,7 +3,9 @@
 The oracles below are the enumerations that residue histograms, jet counts
 and the restricted-sum identity checks used before the recursion: every
 point of (Z/p^m)^n, and every child jet at every t-degree level.  Counts
-must agree exactly, and identity reports must print identically.
+must agree exactly, and identity reports must print identically.  The last
+section keeps the two-path root-of-unity evaluation as the oracle of the one
+``fsum`` path, which must return the same complex value bit for bit.
 """
 
 import cmath
@@ -351,3 +353,87 @@ def test_identity_check_refuses_counts_that_overflow_int64():
     # refused before any residue grid is built
     with pytest.raises(ValueError, match="int64"):
         igusa_identity_check(P("x + y + z", 3), 2, 22, budget=2**70)
+
+
+# ---------------------------------------------------------------- root-of-unity evaluation
+
+
+def two_path_exp_sum(hist):
+    """The two-path exp_sum_from_histogram the one fsum path replaced, verbatim."""
+    modulus = hist.modulus
+    norm = hist.p ** (hist.m * hist.nvars)
+    idx = np.nonzero(hist.counts)[0]
+    if len(idx) <= (1 << 20):
+        re = math.fsum(
+            int(hist.counts[c]) * math.cos(2 * math.pi * int(c) / modulus) for c in idx
+        )
+        im = math.fsum(
+            int(hist.counts[c]) * math.sin(2 * math.pi * int(c) / modulus) for c in idx
+        )
+    else:
+        ang = 2 * np.pi * idx.astype(np.float64) / modulus
+        w = hist.counts[idx].astype(np.float64)
+        re = float(np.dot(w, np.cos(ang)))
+        im = float(np.dot(w, np.sin(ang)))
+    return complex(re / norm, im / norm)
+
+
+def fsum_loop(hist):
+    """The fsum branch of two_path_exp_sum at any number of nonzero bins."""
+    modulus = hist.modulus
+    norm = hist.p ** (hist.m * hist.nvars)
+    idx = np.nonzero(hist.counts)[0]
+    re = math.fsum(
+        int(hist.counts[c]) * math.cos(2 * math.pi * int(c) / modulus) for c in idx
+    )
+    im = math.fsum(
+        int(hist.counts[c]) * math.sin(2 * math.pi * int(c) / modulus) for c in idx
+    )
+    return complex(re / norm, im / norm)
+
+
+def seeded_histograms():
+    """Synthetic and census histograms with moduli up to 7^5: sparse and dense
+    counts, signed ones, the identity-check deltas, all-zero and one-bin."""
+    rng = np.random.default_rng(12)
+    levels = [(p, m) for p in (2, 3, 5, 7) for m in range(1, 8) if p**m <= 7**5]
+    hists = []
+    for k in range(100):
+        p, m = levels[k % len(levels)]
+        n = 1 + k % 3
+        counts = rng.integers(-(10**6), 10**6, size=p**m)
+        counts[rng.random(p**m) < rng.random()] = 0
+        if k % 2:
+            counts = np.abs(counts)
+        hists.append(ResidueHistogram(p, m, n, counts))
+    hists.append(ResidueHistogram(7, 5, 2, np.zeros(7**5, dtype=np.int64)))
+    one = np.zeros(7**5, dtype=np.int64)
+    one[4321] = 7**10
+    hists.append(ResidueHistogram(7, 5, 2, one))
+    for text, n, p, m in [("x^3 + y^3", 2, 7, 5), ("x^2*y - y^4", 2, 5, 4), ("x*y*z", 3, 3, 4)]:
+        counts = _histogram(P(text, n), p, m, budget=p ** (m * n)).counts
+        cut = np.zeros_like(counts)
+        cut[:: p ** (m - 1)] = counts[:: p ** (m - 1)]
+        hists += [ResidueHistogram(p, m, n, c) for c in (counts, counts - cut, cut - counts)]
+    return hists
+
+
+def test_one_fsum_path_equals_the_two_path_evaluation():
+    hists = seeded_histograms()
+    assert len(hists) >= 100
+    for hist in hists:
+        assert exp_sum_from_histogram(hist) == two_path_exp_sum(hist)
+
+
+def test_one_fsum_path_equals_the_fsum_loop_past_two_to_the_twenty_bins():
+    # the size the deleted numpy dot-product branch took
+    rng = np.random.default_rng(20)
+    counts = np.zeros(2**21, dtype=np.int64)
+    bins = rng.choice(2**21, size=(1 << 20) + 1, replace=False)
+    counts[bins] = rng.integers(1, 1000, size=bins.size) * rng.choice([-1, 1], size=bins.size)
+    hist = ResidueHistogram(2, 21, 1, counts)
+    assert np.count_nonzero(counts) == (1 << 20) + 1
+    value = exp_sum_from_histogram(hist)
+    assert value == fsum_loop(hist)
+    assert abs(value - two_path_exp_sum(hist)) < 1e-12
+
