@@ -12,6 +12,7 @@ package, "direct" for immediate computations.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -96,11 +97,14 @@ KIND_FLAGS = {
 
 
 def _check_args(args, budget: int):
-    """Usage errors: ``--m``, ``--k``, ``--mmax``, ``--e``, ``--cases`` or
-    ``--order-cap`` below 1, ``--grid`` below 2, a flag its kind of ``lct`` or
-    ``check`` does not read, or ``--p`` not prime (one above the budget is left
-    to the command to refuse, bounding the trial division)."""
-    least_values = {"m": 1, "k": 1, "mmax": 1, "e": 1, "cases": 1, "order_cap": 1, "grid": 2}
+    """Usage errors: ``--m``, ``--k``, ``--mmax``, ``--e``, ``--cases``,
+    ``--order-cap`` or ``--nvars`` below 1, ``--grid`` below 2, a flag its
+    kind of ``lct`` or ``check`` does not read, or ``--p`` not prime (one
+    above the budget is left to the command to refuse, bounding the trial
+    division)."""
+    least_values = {
+        "m": 1, "k": 1, "mmax": 1, "e": 1, "cases": 1, "order_cap": 1, "grid": 2, "nvars": 1,
+    }
     for name, least in least_values.items():
         value = getattr(args, name, None)
         if value is not None and value < least:
@@ -144,8 +148,7 @@ def emit_report(command: str, config: dict, results, fmt: str, out=None):
         "results": _fmt(results),
     }
     if fmt == "json":
-        json.dump(report, stream, indent=2)
-        stream.write("\n")
+        stream.write(json.dumps(report, indent=2) + "\n")
         return
     # tsv: comment header then one row per result
     stream.write(f"# schema: {SCHEMA}\n# version: {__version__}\n")
@@ -668,10 +671,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser every :func:`main` call of this process uses, built on the
+    first call: parsing leaves it unchanged, and each parse fills a new
+    namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     config = {

@@ -6,9 +6,11 @@ Three independent computations live here:
   polyhedron, by Howald's linear program
   lct(a) = min { sum(w) : w >= 0, <w, v_j> >= 1 for every generator v_j },
   solved exactly by visiting every vertex of that polyhedron (each one an
-  n x n integer system solved by :class:`~lctlab.linalg.SparseEliminator`)
-  and returned with a primal-dual certificate that is checked before the
-  value leaves the function (:func:`newton_lct_certificate`);
+  n x n integer system solved by :class:`~lctlab.linalg.SparseEliminator`
+  to integer numerators over one denominator, so vertices are compared by
+  cross-multiplication and a ``Fraction`` is built only for the value and
+  the dual multipliers) and returned with a primal-dual certificate that is
+  checked before the value leaves the function (:func:`newton_lct_certificate`);
 
 * :func:`lct_diag_fJ2` and :func:`lct_det_fJ2`: closed-form thresholds of
   the ideal (f) + J_f^2 for the diagonal family x_1^d + ... + x_n^d and for
@@ -31,7 +33,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Optional
 
 from .budget import check_budget
@@ -149,14 +151,15 @@ def _monomial_exponents(a: IdealGens):
 
 
 def _solve_square(columns, target):
-    """{k: x_k} with sum(x_k * columns[k]) == target, for columns given as
-    sparse integer dicts, which the kernel takes as they are; None when the
-    columns are linearly dependent."""
+    """({k: p_k}, q) with sum(p_k * columns[k]) == q * target and q > 0 the
+    least such denominator, for columns and target given as sparse integer
+    dicts, which the kernel takes as they are; None when the columns are
+    linearly dependent."""
     elim = SparseEliminator()
     for k, col in columns.items():
         if not elim.add_row(col, tag=k):
             return None
-    return elim.solve(target)
+    return elim.solve_integral(target)
 
 
 def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
@@ -186,50 +189,52 @@ def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
     check_budget(
         comb(m + n, n), budget, what="Newton-polyhedron vertex enumeration", unit="candidate bases"
     )
-    best = None
-    optimal = []  # (rows, free, p) of every basis whose vertex p / q reaches ``best``
+    best = None  # (sum(p), q) of the best vertex p / q so far
+    optimal = []  # (rows, free, p) of every basis whose vertex reaches ``best``
     for basis in combinations(range(m + n), n):
         rows = [k for k in basis if k < m]
         if not rows:
             continue
         fixed = {k - m for k in basis[len(rows):]}
         free = [i for i in range(n) if i not in fixed]
-        # A_S w = b_S, with w_i = 0 on the coordinate rows of S
-        w = _solve_square({i: {j: gens[j][i] for j in rows if gens[j][i]} for i in free},
-                          dict.fromkeys(rows, 1))
-        if w is None:
+        # A_S (p / q) = b_S, with p_i = 0 on the coordinate rows of S
+        got = _solve_square({i: {j: gens[j][i] for j in rows if gens[j][i]} for i in free},
+                            dict.fromkeys(rows, 1))
+        if got is None:
             continue
-        q = lcm(*(x.denominator for x in w.values()))
-        p = tuple(w[i].numerator * (q // w[i].denominator) if i in w else 0 for i in range(n))
+        w, q = got
+        p = tuple(w.get(i, 0) for i in range(n))
         if min(p) < 0:
             continue
-        total = Fraction(sum(p), q)
-        if best is not None and total > best:
+        total = sum(p)
+        # sum(p) / q against best[0] / best[1], both denominators positive
+        diff = 0 if best is None else total * best[1] - best[0] * q
+        if diff > 0:
             continue
         if any(sum(x * y for x, y in zip(p, v)) < q for v in gens):
             continue
-        if best is None or total < best:
-            best, optimal = total, []
+        if best is None or diff < 0:
+            best, optimal = (total, q), []
         optimal.append((rows, free, p))
     for rows, free, p in optimal:
-        # A_S^T y = (1, ..., 1): multipliers on the generator rows of S,
-        # and slacks 1 - sum(lambda_j v_j)_i on its coordinate rows
-        lam = _solve_square({j: {i: gens[j][i] for i in free if gens[j][i]} for j in rows},
-                            dict.fromkeys(free, 1))
+        # A_S^T (lam / den) = (1, ..., 1): multipliers on the generator rows
+        # of S, and slacks 1 - sum(lambda_j v_j)_i on its coordinate rows
+        lam, den = _solve_square({j: {i: gens[j][i] for i in free if gens[j][i]} for j in rows},
+                                 dict.fromkeys(free, 1))
         if any(c < 0 for c in lam.values()):
             continue
-        if any(sum(c * gens[j][i] for j, c in lam.items()) > 1 for i in range(n)):
+        if any(sum(c * gens[j][i] for j, c in lam.items()) > den for i in range(n)):
             continue
         g = gcd(*p)
         witness = NewtonWitness(
             ray=RayValuation(tuple(x // g for x in p)),
-            lam=tuple((gens[j], c) for j, c in sorted(lam.items())),
+            lam=tuple((gens[j], Fraction(c, den)) for j, c in sorted(lam.items())),
         )
         break
     else:
         raise AssertionError("no optimal basis of the Newton polyhedron is dual feasible")
     cert = LctCertificate(
-        value=best,
+        value=Fraction(*best),
         witness=witness,
         bound_proof=(
             "lct <= A(ray)/ord_ray(a) at the optimal vertex; lct >= sum(lambda) "

@@ -10,10 +10,13 @@ growth held down by gcds rather than by Bareiss's exact division: a row with
 rational entries is multiplied once by the lcm of its denominators, a row
 with entry ``a`` in the column of a pivot row with lead ``l`` becomes
 ``(l/g) * row - (a/g) * pivot`` with ``g = gcd(a, l)``, and pivot rows are
-stored primitive with a positive lead.  A ``Fraction`` is built per
-elimination step of a solve, never per matrix entry.  Pivots are chosen by
-the smallest bit length of the primitive integer residue (then the smallest
-column key), so every result is reproducible regardless of dict order.
+stored primitive with a positive lead.  A solve unwinds the steps over the
+integers as well, to coefficients over one positive denominator
+(:meth:`SparseEliminator.solve_integral`); ``solve`` builds one ``Fraction``
+per output coefficient, never one per matrix entry or elimination step.
+Pivots are chosen by the smallest bit length of the primitive integer
+residue (then the smallest column key), so every result is reproducible
+regardless of dict order.
 """
 
 from __future__ import annotations
@@ -131,22 +134,23 @@ class SparseEliminator:
             self._made[pivot] = (tag, steps, scale, content)
         return True
 
-    def solve(self, target: dict):
-        """Nonzero coefficients {tag: c} with sum(c * row) == target over the
-        tagged rows, or None when the target is not in their span."""
+    def solve_integral(self, target: dict):
+        """({tag: c}, den) with sum(c * row) == den * target over the tagged
+        rows, every c a nonzero int and den > 0 the least such denominator,
+        or None when the target is not in their span."""
         target, den = _integral(target)
         steps = []
         red, scale = self._reduce(target, steps)
         if red:
             return None
-        # scale * den * target is the sum of multiple * pivot row over the steps
+        # den * target is the sum of multiple * pivot row over the steps
         weight = {}
         for col, a in steps:
             weight[col] = weight.get(col, 0) + a
-        scale *= den
-        weight = {col: Fraction(a, scale) for col, a in weight.items()}
+        den *= scale
         # pivot row k is (scale_k * row_k - sum of its steps) / content_k, and
-        # its steps only name earlier pivots, so one backward sweep unwinds them
+        # its steps only name earlier pivots, so one backward sweep unwinds
+        # them; dividing a weight by a content rescales every weight and den
         out = {}
         for col in reversed(self.pivots):
             w = weight.get(col)
@@ -154,13 +158,35 @@ class SparseEliminator:
                 continue
             tag, made, s, content = self._made[col]
             if content != 1:
-                w /= content
+                g = math.gcd(w, content)
+                if content < 0:
+                    g = -g
+                w //= g
+                c = content // g
+                if c != 1:
+                    den *= c
+                    weight = {k: c * v for k, v in weight.items()}
+                    out = {t: c * v for t, v in out.items()}
             w_row = w * s if s != 1 else w
             out[tag] = out[tag] + w_row if tag in out else w_row
             for hit, a in made:
                 d = w * a
                 weight[hit] = weight[hit] - d if hit in weight else -d
-        return {tag: c for tag, c in out.items() if c}
+        out = {tag: c for tag, c in out.items() if c}
+        g = math.gcd(den, *out.values())
+        if g != 1:
+            den //= g
+            out = {tag: c // g for tag, c in out.items()}
+        return out, den
+
+    def solve(self, target: dict):
+        """Nonzero coefficients {tag: c} with sum(c * row) == target over the
+        tagged rows, or None when the target is not in their span."""
+        got = self.solve_integral(target)
+        if got is None:
+            return None
+        out, den = got
+        return {tag: Fraction(c, den) for tag, c in out.items()}
 
 
 def _dense_rows(matrix) -> SparseEliminator:

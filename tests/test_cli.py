@@ -1,11 +1,13 @@
 """Command-line surface: dispatch, report schema, exit codes, golden tables."""
 
 import hashlib
+import io
 import json
 import os
 
 import pytest
 
+from lctlab import cli
 from lctlab.cli import build_parser, emit_golden_tables, infer_nvars, main
 
 
@@ -415,3 +417,94 @@ def test_milnor_order_cap_below_one_is_a_usage_error(capsys):
     assert code == 2
     assert "--order-cap must be at least 1" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("nvars", ["0", "-1"])
+def test_nvars_below_one_is_a_usage_error(capsys, nvars):
+    # --nvars 0 used to run with the inferred count and record "nvars": 0,
+    # and -1 failed in the parser with a message about x1
+    code, out, err = run(capsys, "milnor", "--poly", "x^3+y^3", "--nvars", nvars)
+    assert code == 2
+    assert "--nvars must be at least 1" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["lct", "det", "--n", "5"], ["check", "corD"], ["check", "thmB"]],
+)
+def test_json_report_bytes_match_json_dump(tmp_path, capsys, argv):
+    # the report is written in one piece; its bytes are those json.dump wrote
+    path = tmp_path / "report.json"
+    assert main(["--output", str(path)] + argv) == 0
+    capsys.readouterr()
+    written = path.read_bytes()
+    buf = io.StringIO()
+    json.dump(json.loads(written), buf, indent=2)
+    buf.write("\n")
+    assert written == buf.getvalue().encode()
+
+
+# ---------------------------------------------------------------- shared parser
+
+
+def report_of(tmp_path, argv, fresh=False):
+    """(exit code, report text) of one in-process call, through the parser
+    shared by every ``main`` call or through a newly built one."""
+    path = tmp_path / "report.out"
+    if path.exists():
+        path.unlink()
+    if fresh:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_shared_parser", build_parser)
+            code = main(["--output", str(path)] + argv)
+    else:
+        code = main(["--output", str(path)] + argv)
+    return code, path.read_text() if path.exists() else None
+
+
+SHARED_PARSER_SEQUENCES = [
+    # a TSV report, then the default format
+    [["--format", "tsv", "check", "corD"], ["check", "corD"]],
+    # a budget refusal, then no budget: the budget falls back to resolve_budget
+    [["--budget", "5", "lct", "monomial", "--ideal", "x^3,y^3"],
+     ["lct", "monomial", "--ideal", "x^3,y^3"]],
+    # a usage error, then a valid call
+    [["lct", "diagonal", "--n", "0", "--d", "5"], ["lct", "diagonal", "--n", "3", "--d", "5"]],
+    [["no-such-command"], ["lct", "det", "--n", "3"]],
+    # selftest's own --seed (suppressed default), then a top-level --seed
+    [["selftest", "--cases", "1", "--seed", "99"], ["--seed", "7", "selftest", "--cases", "1"],
+     ["selftest", "--cases", "1"]],
+    # an explicit --nvars, then an inferred one
+    [["milnor", "--poly", "x^3", "--nvars", "2"], ["milnor", "--poly", "x^3"]],
+]
+
+
+@pytest.mark.parametrize("sequence", SHARED_PARSER_SEQUENCES)
+def test_shared_parser_leaks_nothing_between_calls(tmp_path, capsys, sequence):
+    for argv in sequence:
+        shared = report_of(tmp_path, argv)
+        fresh = report_of(tmp_path, argv, fresh=True)
+        capsys.readouterr()
+        assert shared == fresh, argv
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._shared_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert main(["lct", "det", "--n", "3"]) == 0
+        assert main(["no-such-command"]) == 2
+    finally:
+        cli._shared_parser.cache_clear()
+    capsys.readouterr()
+    assert len(built) == 1
+    # build_parser still returns a parser of its own on every call
+    assert build_parser() is not build_parser()

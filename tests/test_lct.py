@@ -7,13 +7,15 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import lctlab
 from lctlab.budget import BudgetExceededError
-from lctlab.jacobian import IdealGens, ideal_power
+from lctlab.jacobian import IdealGens, _mono_divides, ideal_power
 from lctlab.lct import (
+    NewtonWitness,
     RayValuation,
     _det_class_codim,
     _det_slice_classes,
@@ -30,6 +32,7 @@ from lctlab.lct import (
     newton_lct_witness_ray,
     yano_roots,
 )
+from lctlab.linalg import SparseEliminator
 from lctlab.polyring import Polynomial, parse_poly
 
 
@@ -253,6 +256,79 @@ def test_nine_generator_ideal_finishes():
     proc = _run_python("-m", "lctlab.cli", "lct", "monomial", "--ideal", FOUND_IDEAL, timeout=30)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "11/18"
+
+
+def fraction_vertex_certificate(a):
+    """(value, witness) of ``newton_lct_certificate`` as it was computed before
+    the integer vertex solves: a ``Fraction`` solution per basis, read as p / q
+    through the lcm of its denominators and compared as a ``Fraction``."""
+    def solve_square(columns, target):
+        elim = SparseEliminator()
+        for k, col in columns.items():
+            if not elim.add_row(col, tag=k):
+                return None
+        return elim.solve(target)
+
+    exps = a.exponents()
+    n = a.nvars
+    distinct = set(exps)
+    gens = sorted(v for v in distinct if not any(u != v and _mono_divides(u, v) for u in distinct))
+    m = len(gens)
+    best = None
+    optimal = []
+    for basis in combinations(range(m + n), n):
+        rows = [k for k in basis if k < m]
+        if not rows:
+            continue
+        fixed = {k - m for k in basis[len(rows):]}
+        free = [i for i in range(n) if i not in fixed]
+        w = solve_square({i: {j: gens[j][i] for j in rows if gens[j][i]} for i in free},
+                         dict.fromkeys(rows, 1))
+        if w is None:
+            continue
+        q = math.lcm(*(x.denominator for x in w.values()))
+        p = tuple(w[i].numerator * (q // w[i].denominator) if i in w else 0 for i in range(n))
+        if min(p) < 0:
+            continue
+        total = Fraction(sum(p), q)
+        if best is not None and total > best:
+            continue
+        if any(sum(x * y for x, y in zip(p, v)) < q for v in gens):
+            continue
+        if best is None or total < best:
+            best, optimal = total, []
+        optimal.append((rows, free, p))
+    for rows, free, p in optimal:
+        lam = solve_square({j: {i: gens[j][i] for i in free if gens[j][i]} for j in rows},
+                           dict.fromkeys(free, 1))
+        if any(c < 0 for c in lam.values()):
+            continue
+        if any(sum(c * gens[j][i] for j, c in lam.items()) > 1 for i in range(n)):
+            continue
+        g = math.gcd(*p)
+        return best, NewtonWitness(
+            ray=RayValuation(tuple(x // g for x in p)),
+            lam=tuple((gens[j], c) for j, c in sorted(lam.items())),
+        )
+    raise AssertionError("no optimal basis is dual feasible")
+
+
+def test_integer_vertex_solves_agree_with_the_fraction_path():
+    rng = random.Random(1729)
+    corpus = [
+        ideal(2, "y^3", "x*y^2", "x^3"),  # degenerate optimal vertex
+        ideal(2, "x^2*y^3"),
+        ideal(3, "x1^4", "x2^4", "x3^4"),
+    ]
+    for n, rmax, emax in ((1, 3, 9), (2, 7, 7), (3, 6, 4)):
+        for r in range(1, rmax + 1):
+            for _ in range(6):
+                corpus.append(random_monomial_ideal(rng, n, r, emax))
+    for a in corpus:
+        cert = newton_lct_certificate(a)
+        value, witness = fraction_vertex_certificate(a)
+        assert cert.value == value and cert.witness == witness, str(a)
+        assert all(type(c) is Fraction for _, c in cert.witness.lam)
 
 
 # ---------------------------------------------------------------- diagonal family

@@ -19,7 +19,7 @@ from lctlab.jacobian import (
     quadratic_form_matrix,
     quadratic_rank,
 )
-from lctlab.linalg import SparseEliminator, det_dense, rank_dense, solve_dense
+from lctlab.linalg import SparseEliminator, _integral, det_dense, rank_dense, solve_dense
 from lctlab.polyring import monomials_below, parse_poly, partial_derivative
 
 
@@ -458,3 +458,75 @@ def test_target_that_needs_rescaling():
     assert x == {"r": Fraction(1, 6), "s": Fraction(1, 12)}
     assert all(type(v) is Fraction for v in x.values())
     assert elim.solve({"a": Fraction(1, 3), "b": 1}) is None
+
+
+# ----------------------------------------------------------------------
+# the integer backward sweep against the Fraction sweep it replaced
+
+
+def fraction_sweep(elim, target):
+    """``SparseEliminator.solve`` as it was before the integer sweep: the same
+    reduction, then one ``Fraction`` per elimination step while unwinding."""
+    target, den = _integral(target)
+    steps = []
+    red, scale = elim._reduce(target, steps)
+    if red:
+        return None
+    # scale * den * target is the sum of multiple * pivot row over the steps
+    weight = {}
+    for col, a in steps:
+        weight[col] = weight.get(col, 0) + a
+    scale *= den
+    weight = {col: Fraction(a, scale) for col, a in weight.items()}
+    # pivot row k is (scale_k * row_k - sum of its steps) / content_k, and
+    # its steps only name earlier pivots, so one backward sweep unwinds them
+    out = {}
+    for col in reversed(elim.pivots):
+        w = weight.get(col)
+        if not w:
+            continue
+        tag, made, s, content = elim._made[col]
+        if content != 1:
+            w /= content
+        w_row = w * s if s != 1 else w
+        out[tag] = out[tag] + w_row if tag in out else w_row
+        for hit, a in made:
+            d = w * a
+            weight[hit] = weight[hit] - d if hit in weight else -d
+    return {tag: c for tag, c in out.items() if c}
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_integer_sweep_agrees_with_the_fraction_sweep(big):
+    rng = random.Random(71 + big)
+    seen = set()
+    for _ in range(300):
+        rows, target = random_tagged_system(rng, big)
+        elim = SparseEliminator()
+        for k, row in enumerate(rows):
+            elim.add_row(row, tag=k)
+        shape = "square" if len(rows) == len(set().union(*rows)) else "rectangular"
+        for t in (target, {}):
+            want = fraction_sweep(elim, t)
+            got = elim.solve_integral(t)
+            assert elim.solve(t) == want, (rows, t)
+            if want is None:
+                assert got is None
+                seen.add(f"inconsistent {shape}")
+                continue
+            out, den = got
+            assert type(den) is int and den > 0
+            assert all(type(c) is int and c for c in out.values())
+            # den is the least common denominator of the coefficients
+            assert math.gcd(den, *out.values()) == 1
+            assert {tag: Fraction(c, den) for tag, c in out.items()} == want
+            seen.add(f"{'nonzero' if t else 'zero'} target {shape}")
+            if any(content < 0 for _, _, _, content in elim._made.values()):
+                seen.add("negative content")
+            if any(lead < 0 for lead in elim.leads):
+                seen.add("negative lead")
+    assert seen == {
+        f"{kind} {shape}"
+        for kind in ("inconsistent", "nonzero target", "zero target")
+        for shape in ("square", "rectangular")
+    } | {"negative content", "negative lead"}
