@@ -680,6 +680,22 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    code = 0
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (``lctlab ... | head``).  Every write
+        # to stdout follows a successful run, so the exit code stays the
+        # command's own; stdout goes to devnull so the flush at exit cannot
+        # fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
+def _run(argv) -> int:
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:

@@ -52,6 +52,7 @@ from .polyring import (
     TruncatedSeries,
     _image_list,
     _Powers,
+    _taylor_shift,
     divided_power,
     dot,
     monomials_below,
@@ -158,7 +159,8 @@ class CoordinateMap:
         shifts = [
             other.images[i].poly - Polynomial.variable(n, i + 1) for i in range(n)
         ]
-        images = [substitute_shifted(im.poly, shifts, order) for im in self.images]
+        powers = _Powers(_image_list(shifts, n, "shift"), order)  # one g^alpha cache for all n
+        images = [_taylor_shift(im.poly, powers) for im in self.images]
         return CoordinateMap(images, order, _skip_check=True)
 
     def invert(self) -> "CoordinateMap":

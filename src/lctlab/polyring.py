@@ -17,10 +17,11 @@ integral), substitution of series tuples into polynomials, square roots and
 reciprocals of unit series, and a strict text-format parser.
 
 Every product is one kernel, :func:`dot`: one accumulator over pairs a*b,
-exponents packed into int keys, each operand packed once as int numerators
-over one denominator.  Every Taylor or composition sum is one :func:`dot`
-over exponents from one enumerator, :func:`monomials_below`, with products
-``g^alpha`` of a series tuple from one memoized power cache, :class:`_Powers`.
+exponents packed into int keys at one fixed base through a memoized codec,
+each operand packed once as int numerators over one denominator.  Every
+Taylor or composition sum is one :func:`dot` over exponents from one
+enumerator, :func:`monomials_below`, with products ``g^alpha`` of a series
+tuple from one memoized power cache, :class:`_Powers`.
 
 Printing is canonical: terms are ordered by graded reverse lexicographic
 order (highest degree first), so equal polynomials always print identically
@@ -236,26 +237,38 @@ class Polynomial:
         the full product); :func:`dot` over the one pair."""
         return dot(self.nvars, ((self, other),), order)
 
-    def _packed(self, base):
-        """(base, denominator, rows (degree, key, int numerator)) of the
-        terms of degree < base, sorted, for :func:`dot`; the packing for the
-        last base asked for is kept."""
+    def _packed(self, codec):
+        """(base, denominator, rows (degree, key, int numerator) of the terms
+        of degree < base, sorted, largest degree of a term) for :func:`dot`,
+        through the ``(base, encode, decode)`` tables of :func:`_codec`; the
+        packing for the last base asked for is kept."""
         pack = self._pack
+        base = codec[0]
         if pack is None or pack[0] != base:
+            _, enc, dec = codec
             den = 1
             for c in self.terms.values():
                 if type(c) is not int:
                     den = math.lcm(den, c.denominator)
-            rows = []
+            rows, top = [], -1
             for m, c in self.terms.items():
-                d = sum(m)
-                if d < base:
+                dk = enc.get(m)
+                if dk is None:
+                    d = sum(m)
+                    if d >= base:  # exponents this large do not fit a key
+                        top = max(top, d)
+                        continue
                     k = 0
                     for e in m:
                         k = k * base + e
-                    rows.append((d, k, c if den == 1 else c.numerator * (den // c.denominator)))
+                    dk = enc[m] = (d, k)
+                    dec[k] = m
+                d, k = dk
+                rows.append((d, k, c if den == 1 else c.numerator * (den // c.denominator)))
             rows.sort()
-            pack = self._pack = (base, den, rows)
+            if rows and rows[-1][0] > top:
+                top = rows[-1][0]
+            pack = self._pack = (base, den, rows, top)
         return pack
 
     def __pow__(self, exponent: int):
@@ -303,27 +316,55 @@ class Polynomial:
         return poly_to_string(self)
 
 
+_KEY_BASE = 64
+_CODEC_LIMIT = 1 << 15  # monomials one codec holds before its tables start afresh
+_codecs = {}
+
+
+def _codec(base, nvars):
+    """``(base, encode, decode)``: the monomial codec of one key base, with
+    tables exponent tuple -> (degree, key) and key -> exponent tuple.  They
+    fill lazily and start afresh once they hold more than ``_CODEC_LIMIT``
+    entries.  A memo only: every entry is a function of its key, so all
+    callers, in any thread, may share it."""
+    codec = _codecs.get((base, nvars))
+    if codec is None or len(codec[2]) > _CODEC_LIMIT:  # the tables grow together
+        codec = _codecs[base, nvars] = (base, {}, {})
+    return codec
+
+
 def dot(nvars: int, pairs, order=None) -> Polynomial:
     """Sum of a*b over the (a, b) pairs, truncated below m^order
     (``order=None``: exact): the one product loop of the package.
 
-    x^e packs to the key sum(e_i * B^(nvars-1-i)) with B = order (or one
-    more than the largest degree of a product), so a product's key is
-    ``ka + kb`` with no carry.  Each operand is packed once (int numerators
-    over one denominator, rows by degree so the cut-off ends each inner
-    loop); all products go into one int accumulator over the lcm of the
-    pair denominators, and a key is unpacked once per output term."""
-    base = order
+    The cut is ``order`` (or one more than the largest degree of a
+    product).  x^e packs to the key sum(e_i * B^(nvars-1-i)) with B = 64
+    for every cut up to 64 (above it the smallest power of two >= cut), so
+    a product's key is ``ka + kb`` with no carry, keys sort as the exponent
+    tuples do, and an operand's packing serves every truncation order.
+    Each operand is packed once (int numerators over one denominator, rows
+    by degree so the cut ends each inner loop); all products go into one
+    int accumulator over the lcm of the pair denominators, and keys and
+    exponent tuples are translated through one memoized codec per base."""
+    codec = _codec(_KEY_BASE, nvars)
     if order is None:
         pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-        base = 1 + max([a.total_degree() + b.total_degree() for a, b in pairs], default=0)
+        cut = 1 + max([a._packed(codec)[3] + b._packed(codec)[3] for a, b in pairs], default=0)
+    else:
+        cut = order
+    if cut > _KEY_BASE:
+        codec = _codec(1 << (cut - 1).bit_length(), nvars)
+    base, enc, dec = codec
     packs, den = [], 1
     for a, b in pairs:
-        _, da, rowa = a._packed(base)
-        _, db, rowb = b._packed(base)
-        if not rowa or not rowb or rowa[0][0] + rowb[0][0] >= base:
+        _, da, rowa, _ = a._packed(codec)
+        _, db, rowb, _ = b._packed(codec)
+        if not rowa or not rowb or rowa[0][0] + rowb[0][0] >= cut:
             continue
-        if len(rowa) > len(rowb):
+        # the shorter operand below the cut runs the outer loop
+        na = len(rowa) if rowa[-1][0] < cut else bisect_left(rowa, (cut,))
+        nb = len(rowb) if rowb[-1][0] < cut else bisect_left(rowb, (cut,))
+        if na > nb:
             rowa, rowb = rowb, rowa
         if da * db != 1:
             den = math.lcm(den, da * db)
@@ -333,7 +374,7 @@ def dot(nvars: int, pairs, order=None) -> Polynomial:
     for pair_den, rowa, rowb in packs:
         scale = den // pair_den
         for d, ka, ca in rowa:
-            end = bisect_left(rowb, (base - d,))  # the first row of degree >= base - d
+            end = bisect_left(rowb, (cut - d,))  # the first row of degree >= cut - d
             if not end:
                 break
             if scale != 1:
@@ -343,14 +384,18 @@ def dot(nvars: int, pairs, order=None) -> Polynomial:
                 acc[k] = get(k, 0) + ca * cb
     for k, v in acc.items():
         if v:
-            mono = [0] * nvars
-            for i in range(nvars - 1, 0, -1):
-                k, mono[i] = divmod(k, base)
-            mono[0] = k
+            mono = dec.get(k)
+            if mono is None:
+                key, digits = k, [0] * nvars
+                for i in range(nvars - 1, 0, -1):
+                    key, digits[i] = divmod(key, base)
+                digits[0] = key
+                mono = dec[k] = tuple(digits)
+                enc[mono] = (sum(mono), k)
             if den != 1:
                 q, r = divmod(v, den)
                 v = Fraction(v, den) if r else q
-            terms[tuple(mono)] = v
+            terms[mono] = v
     return Polynomial._make(nvars, terms)
 
 
@@ -588,12 +633,28 @@ def substitute_shifted(f, shifts, order: int = DEFAULT_ORDER) -> TruncatedSeries
     if isinstance(f, TruncatedSeries):
         order = min(order, f.order)
         f = f.poly
-    gs = _image_list(shifts, f.nvars, "shift")
+    return _taylor_shift(f, _Powers(_image_list(shifts, f.nvars, "shift"), order))
+
+
+def _taylor_shift(f: Polynomial, powers: _Powers) -> TruncatedSeries:
+    """``f(x + g)`` mod m^order for the shifts g and the order of ``powers``,
+    which several expansions along the same shifts may share.
+
+    Only contributing exponents are visited: an alpha with some alpha_i above
+    every exponent of x_i in f has D^alpha f = 0 and is skipped unexpanded,
+    and one with mult(D^alpha f) + sum(alpha_i * mult(g_i)) >= order is
+    skipped before g^alpha is built; :func:`dot` would drop both pairs."""
+    gs, order, n = powers.gs, powers.order, f.nvars
     mults = [g.multiplicity() if not g.is_zero() else order for g in gs]
-    powers = _Powers(gs, order)
-    pairs = [(dpf, powers.get(alpha)) for alpha in monomials_below(mults, order)[1:]  # alpha != 0
-             if not (dpf := divided_power(f, alpha)).is_zero()]
-    return TruncatedSeries(f + dot(f.nvars, pairs, order), order)
+    tops = [max([m[i] for m in f.terms], default=-1) for i in range(n)]
+    pairs = []
+    for alpha in monomials_below(mults, order)[1:]:  # alpha != 0
+        if any(map(int.__gt__, alpha, tops)):
+            continue
+        dpf = divided_power(f, alpha)
+        if dpf.terms and dpf.multiplicity() + sum(map(int.__mul__, alpha, mults)) < order:
+            pairs.append((dpf, powers.get(alpha)))
+    return TruncatedSeries(f + dot(n, pairs, order), order)
 
 
 def series_sqrt(s: TruncatedSeries) -> TruncatedSeries:

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -508,3 +511,45 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert len(built) == 1
     # build_parser still returns a parser of its own on every call
     assert build_parser() is not build_parser()
+
+
+# A report written to a stdout whose reader has gone: the command keeps its
+# own exit code and prints no traceback, with stdout buffered or not.
+_CLOSED_STDOUT_SCRIPT = """
+import sys
+from lctlab import cli
+if sys.argv[1] == "fail":
+    def failing(args):  # a check fails before a row is written, as in every handler
+        raise cli.CheckFailure("forced failure")
+    cli._cmd_milnor = failing
+    sys.argv[1:] = ["milnor", "--poly", "x^3"]
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+def _run_with_closed_stdout(argv, unbuffered):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-c", _CLOSED_STDOUT_SCRIPT, *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, code", [
+    (["lct", "det", "--n", "3"], 0),
+    (["--format", "tsv", "check", "corD"], 0),
+    (["--help"], 0),
+    (["fail"], 1),
+])
+def test_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
+    got, err = _run_with_closed_stdout(argv, unbuffered)
+    assert "Traceback" not in err and "BrokenPipe" not in err, err
+    assert got == code, err

@@ -28,6 +28,7 @@ from lctlab.polyring import (
     TruncatedSeries,
     monomials_below,
     parse_poly,
+    substitute_shifted,
 )
 
 
@@ -83,6 +84,40 @@ def test_map_inversion_round_trip():
     both = cmap.then(inv)
     for i, im in enumerate(both.images, start=1):
         assert im.poly == Polynomial.variable(2, i)
+
+
+def _random_map(rng, n, order):
+    """Unit upper-triangular linear part (identity or not) plus seeded terms
+    of degree 2-4, some with Fraction coefficients."""
+    images = []
+    for i in range(n):
+        terms = {tuple(int(k == i) for k in range(n)): 1}
+        if i + 1 < n and rng.random() < 0.5:
+            terms[tuple(int(k == i + 1) for k in range(n))] = rng.choice((-2, 1, Fraction(1, 3)))
+        for _ in range(rng.randint(0, 3)):
+            mono = [0] * n
+            for _ in range(rng.randint(2, 4)):
+                mono[rng.randrange(n)] += 1
+            terms[tuple(mono)] = rng.choice((-3, -1, 1, 2, Fraction(-1, 2)))
+        images.append(Polynomial(n, terms))
+    return CoordinateMap(images, order)
+
+
+def test_then_shares_one_power_cache_across_images():
+    rng = random.Random(3301)
+    non_identity = 0
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        first, second = _random_map(rng, n, rng.randint(3, 10)), _random_map(rng, n, rng.randint(3, 10))
+        order = min(first.order, second.order)
+        shifts = [im.poly - Polynomial.variable(n, i + 1) for i, im in enumerate(second.images)]
+        composed = first.then(second)
+        assert composed.order == order
+        for got, im in zip(composed.images, first.images):
+            want = substitute_shifted(im.poly, shifts, order)
+            assert list(got.poly.terms.items()) == list(want.poly.terms.items())
+        non_identity += any(g.multiplicity() == 1 for g in shifts if not g.is_zero())
+    assert non_identity >= 10
 
 
 def test_verify_map_examples():

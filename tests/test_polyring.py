@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lctlab import polyring
 from lctlab.polyring import (
     DEFAULT_ORDER,
     MultiplicityBound,
@@ -16,8 +18,10 @@ from lctlab.polyring import (
     Polynomial,
     TruncatedSeries,
     _image_list,
+    _Powers,
     divided_power,
     dot,
+    monomials_below,
     multiplicity,
     parse_poly,
     partial_derivative,
@@ -328,6 +332,43 @@ def test_substitute_shifted_matches_the_depth_first_oracle():
         assert got.order == want.order and got.poly == want.poly, (str(f), shifts, order)
 
 
+# The Taylor walk as it was before it skipped non-contributing exponents:
+# every alpha below the order, a divided power for each, kept verbatim as the
+# oracle of the pruned walk (which must give the same terms in the same order).
+
+
+def _substitute_shifted_unpruned(f, shifts, order: int = DEFAULT_ORDER) -> TruncatedSeries:
+    if isinstance(f, TruncatedSeries):
+        order = min(order, f.order)
+        f = f.poly
+    gs = _image_list(shifts, f.nvars, "shift")
+    mults = [g.multiplicity() if not g.is_zero() else order for g in gs]
+    powers = _Powers(gs, order)
+    pairs = [(dpf, powers.get(alpha)) for alpha in monomials_below(mults, order)[1:]  # alpha != 0
+             if not (dpf := divided_power(f, alpha)).is_zero()]
+    return TruncatedSeries(f + dot(f.nvars, pairs, order), order)
+
+
+def _listed(p):
+    """Terms in dict order, with the type of each coefficient."""
+    return [(m, type(c), c) for m, c in p.terms.items()]
+
+
+def test_substitute_shifted_matches_the_unpruned_walk():
+    seen = {"mult-1 shift": 0, "zero shift": 0, "f at or above the order": 0, "Fraction": 0}
+    for f, shifts, order in _oracle_corpus(5387):
+        got = substitute_shifted(f, shifts, order)
+        want = _substitute_shifted_unpruned(f, shifts, order)
+        assert got.order == want.order and _listed(got.poly) == _listed(want.poly), (str(f), shifts, order)
+        fpoly = f.poly if isinstance(f, TruncatedSeries) else f
+        gs = _image_list(shifts, fpoly.nvars)
+        seen["mult-1 shift"] += any(g.multiplicity() == 1 for g in gs)
+        seen["zero shift"] += any(g.is_zero() for g in gs)
+        seen["f at or above the order"] += any(sum(m) >= got.order for m in fpoly.terms)
+        seen["Fraction"] += any(type(c) is Fraction for p in [fpoly, *gs] for c in p.terms.values())
+    assert min(seen.values()) >= 25, seen
+
+
 # ---------------------------------------------------------------- series
 
 
@@ -535,6 +576,126 @@ def test_dot_is_the_sum_of_oracle_products():
         assert _typed(dot(n, pairs, order)) == _typed(want), (order, [(str(a), str(b)) for a, b in pairs])
         # a generator of pairs is consumed once
         assert _typed(dot(n, iter(pairs), order)) == _typed(want)
+
+
+# The kernel as it was before it packed at one fixed key base through the
+# monomial codec: keys at base ``order`` (or one more than the largest degree
+# of an exact product), a Horner pass per term and a divmod pass per output
+# term, kept verbatim (less the per-polynomial packing cache) as the oracle of
+# the terms' values and of their order.
+
+
+def _packed_at(p, base):
+    den = 1
+    for c in p.terms.values():
+        if type(c) is not int:
+            den = math.lcm(den, c.denominator)
+    rows = []
+    for m, c in p.terms.items():
+        d = sum(m)
+        if d < base:
+            k = 0
+            for e in m:
+                k = k * base + e
+            rows.append((d, k, c if den == 1 else c.numerator * (den // c.denominator)))
+    rows.sort()
+    return den, rows
+
+
+def _dot_per_order(nvars, pairs, order=None):
+    base = order
+    if order is None:
+        pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
+        base = 1 + max([a.total_degree() + b.total_degree() for a, b in pairs], default=0)
+    packs, den = [], 1
+    for a, b in pairs:
+        da, rowa = _packed_at(a, base)
+        db, rowb = _packed_at(b, base)
+        if not rowa or not rowb or rowa[0][0] + rowb[0][0] >= base:
+            continue
+        if len(rowa) > len(rowb):
+            rowa, rowb = rowb, rowa
+        if da * db != 1:
+            den = math.lcm(den, da * db)
+        packs.append((da * db, rowa, rowb))
+    acc, terms = {}, {}
+    get = acc.get
+    for pair_den, rowa, rowb in packs:
+        scale = den // pair_den
+        for d, ka, ca in rowa:
+            end = bisect_left(rowb, (base - d,))
+            if not end:
+                break
+            if scale != 1:
+                ca *= scale
+            for _, kb, cb in rowb[:end] if end < len(rowb) else rowb:
+                k = ka + kb
+                acc[k] = get(k, 0) + ca * cb
+    for k, v in acc.items():
+        if v:
+            mono = [0] * nvars
+            for i in range(nvars - 1, 0, -1):
+                k, mono[i] = divmod(k, base)
+            mono[0] = k
+            if den != 1:
+                q, r = divmod(v, den)
+                v = Fraction(v, den) if r else q
+            terms[tuple(mono)] = v
+    return Polynomial._make(nvars, terms)
+
+
+def _codec_cases(seed, count):
+    """Pairs with nvars 1-4 interleaved: at order 70 (a key base above 64),
+    exact of degree up to 80, and below order 16."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = 1 + k % 4
+        order, lo, hi = ((70, 0, 72), (None, 26, 40), (rng.randint(1, 16), 0, 18))[k // 4 % 3]
+        yield n, order, [(_random_poly(rng, n, rng.randint(1, 6), lo, hi),
+                          _random_poly(rng, n, rng.randint(1, 6), lo, hi)) for _ in range(rng.randint(1, 3))]
+
+
+def _check_codec_cases(seed, count):
+    reached = {"order 70": 0, "exact, degree >= 64": 0, "Fraction": 0}
+    for n, order, pairs in _codec_cases(seed, count):
+        want = Polynomial.zero(n)
+        for a, b in pairs:
+            product = a.mul_truncated(b, order)
+            assert _typed(product) == _typed(_mul_truncated_tuples(a, b, order))
+            assert _listed(product) == _listed(_dot_per_order(n, [(a, b)], order))
+            # the same operands again at a second cut reuse their packings
+            assert _listed(a.mul_truncated(b, 9)) == _listed(_dot_per_order(n, [(a, b)], 9))
+            want = want + _mul_truncated_tuples(a, b, order)
+        got = dot(n, pairs, order)
+        assert _typed(got) == _typed(want), (order, [(str(a), str(b)) for a, b in pairs])
+        assert _listed(got) == _listed(_dot_per_order(n, pairs, order))
+        reached["order 70"] += order == 70 and any(sum(m) >= 64 for m in got.terms)
+        reached["exact, degree >= 64"] += order is None and any(sum(m) >= 64 for m in got.terms)
+        reached["Fraction"] += any(type(c) is Fraction for c in got.terms.values())
+    return reached
+
+
+def test_codec_products_match_the_oracles():
+    reached = _check_codec_cases(2113, 240)
+    assert min(reached.values()) >= 10, reached
+
+
+def test_codec_tables_start_afresh_past_their_limit(monkeypatch):
+    started = []
+
+    class Codecs(dict):
+        def __setitem__(self, key, value):
+            started.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(polyring, "_codecs", Codecs())
+    monkeypatch.setattr(polyring, "_CODEC_LIMIT", 40)
+    reached = _check_codec_cases(881, 60)
+    assert min(reached.values()) >= 2, reached
+    for base, n in started:
+        assert base == polyring._KEY_BASE or base > 64 and base & (base - 1) == 0
+    for n in range(1, 5):  # every base-64 codec started afresh at least once
+        assert started.count((polyring._KEY_BASE, n)) >= 2, started
 
 
 def test_dot_cancels_to_the_zero_polynomial():
