@@ -169,10 +169,7 @@ def count_contact_jets(
     n = gens.nvars
     if e < 0 or e > m + 1:
         raise ValueError("need 0 <= e <= m + 1")
-    for g in gens.gens:
-        for c in g.terms.values():
-            if not isinstance(c, int):
-                raise ValueError("jet counting needs integer coefficients")
+    terms = [_int_terms(g) for g in gens.gens]  # a Fraction is refused ahead of the budget
     check_budget(p ** ((m + 1) * n), budget, what="jet enumeration", unit="jets")
     if e == 0:
         return p ** ((m + 1) * n)
@@ -182,7 +179,7 @@ def count_contact_jets(
     free = p ** (n * (m + 1 - e))  # levels e..m are unconstrained
     grids = _residue_grids(n, p)
     shape = (p,) * n
-    zero = np.broadcast_to(_vanishing([_int_terms(g) for g in polys], grids, p), shape)
+    zero = np.broadcast_to(_vanishing(terms, grids, p), shape)
     jac = [
         [
             np.broadcast_to(

@@ -26,7 +26,10 @@ def resolve_budget(budget=None) -> int:
         return int(budget)
     env = os.environ.get(ENV_VAR)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"{ENV_VAR} must be an integer, got {env!r}") from None
     return DEFAULT_BUDGET
 
 

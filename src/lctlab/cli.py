@@ -12,6 +12,7 @@ package, "direct" for immediate computations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -206,17 +207,15 @@ def _cmd_lct(args):
                 "provenance": "reference",
             }
         ]
-    if args.kind == "monomial":
-        if not args.ideal:
-            raise ValueError("lct monomial needs --ideal")
-        nvars = args.nvars or infer_nvars(args.ideal)
-        a = parse_ideal(args.ideal, nvars)
-        value = newton_lct(a, budget=args.budget)
-        print(value)
-        return [
-            {"ideal": str(a), "lct": value, "provenance": "derived"}
-        ]
-    raise ValueError(f"unknown lct kind {args.kind!r}")
+    if not args.ideal:
+        raise ValueError("lct monomial needs --ideal")
+    nvars = args.nvars or infer_nvars(args.ideal)
+    a = parse_ideal(args.ideal, nvars)
+    value = newton_lct(a, budget=args.budget)
+    print(value)
+    return [
+        {"ideal": str(a), "lct": value, "provenance": "derived"}
+    ]
 
 
 def _cmd_morsify(args):
@@ -314,7 +313,10 @@ def _cmd_expsum(args):
 def _cmd_decay(args):
     nvars = args.nvars or infer_nvars(args.poly)
     f = parse_poly(args.poly, nvars)
-    ref = Fraction(args.lct) if args.lct else None
+    try:
+        ref = Fraction(args.lct) if args.lct else None
+    except ZeroDivisionError:
+        raise ValueError(f"--lct has a zero denominator: {args.lct!r}") from None
     prof = decay_profile(
         f, args.p, args.mmax, lct_ref=ref, budget=args.budget, slack=args.slack
     )
@@ -411,36 +413,36 @@ def _cmd_check(args):
         if not ok:
             raise CheckFailure("derived-ideal closure check failed")
         return rows
-    if args.what == "milnor":
-        rows = []
-        ok = True
-        for n in (1, 2, 3):
-            for d in (2, 3, 4):
-                f = Polynomial.zero(n)
-                for i in range(1, n + 1):
-                    f = f + Polynomial.variable(n, i) ** d
-                rep = check_milnor_inequality(f, Fraction(n, d))
-                expected = (d - 1) ** n
-                good = rep.mu == expected and rep.holds and rep.equality == (d == 2)
-                rows.append(
-                    {
-                        "n": n,
-                        "d": d,
-                        "mu": rep.mu,
-                        "expected": expected,
-                        "bound_value": rep.value,
-                        "bound": rep.bound,
-                        "holds": rep.holds,
-                        "equality": rep.equality,
-                        "ok": good,
-                        "provenance": "reference",
-                    }
-                )
-                ok = ok and good
-        if not ok:
-            raise CheckFailure("Milnor grid check failed")
-        return rows
-    raise ValueError(f"unknown check {args.what!r}")
+    rows = []
+    ok = True
+    for n in (1, 2, 3):
+        for d in (2, 3, 4):
+            rep = check_milnor_inequality(_diagonal_form(n, d), Fraction(n, d))
+            expected = (d - 1) ** n
+            good = rep.mu == expected and rep.holds and rep.equality == (d == 2)
+            rows.append(
+                {
+                    "n": n,
+                    "d": d,
+                    "mu": rep.mu,
+                    "expected": expected,
+                    "bound_value": rep.value,
+                    "bound": rep.bound,
+                    "holds": rep.holds,
+                    "equality": rep.equality,
+                    "ok": good,
+                    "provenance": "reference",
+                }
+            )
+            ok = ok and good
+    if not ok:
+        raise CheckFailure("Milnor grid check failed")
+    return rows
+
+
+def _diagonal_form(n: int, d: int) -> Polynomial:
+    """x_1^d + ... + x_n^d."""
+    return sum((Polynomial.variable(n, i) ** d for i in range(1, n + 1)), Polynomial.zero(n))
 
 
 def _cmd_selftest(args):
@@ -532,10 +534,7 @@ def emit_golden_tables(outdir: str, seed: int = DEFAULT_SEED):
     lines = []
     for n in (1, 2, 3):
         for d in (2, 3, 4):
-            f = Polynomial.zero(n)
-            for i in range(1, n + 1):
-                f = f + Polynomial.variable(n, i) ** d
-            lines.append(f"n={n}\td={d}\tmu={milnor_number(f)}")
+            lines.append(f"n={n}\td={d}\tmu={milnor_number(_diagonal_form(n, d))}")
     table("milnor_grid.tsv", "Milnor numbers of diagonal forms", lines)
 
     lines = []
@@ -560,7 +559,10 @@ def emit_golden_tables(outdir: str, seed: int = DEFAULT_SEED):
 
 
 def _cmd_golden(args):
-    written = emit_golden_tables(args.out, seed=args.seed)
+    try:
+        written = emit_golden_tables(args.out, seed=args.seed)
+    except OSError as exc:
+        raise ValueError(f"cannot write the golden tables: {exc}") from None
     return [{"written": written, "provenance": "direct"}]
 
 
@@ -705,11 +707,10 @@ def _run(argv) -> int:
         for k, v in vars(args).items()
         if k not in ("func", "command") and v is not None and not callable(v)
     }
-    config.setdefault("budget", resolve_budget(args.budget))
-    if config["budget"] <= 0:
-        print("usage error: budget must be positive", file=sys.stderr)
-        return 2
     try:
+        config.setdefault("budget", resolve_budget(args.budget))
+        if config["budget"] <= 0:
+            raise ValueError("budget must be positive")
         _check_args(args, config["budget"])
         results = args.func(args)
     except BudgetExceededError as exc:
@@ -721,11 +722,13 @@ def _run(argv) -> int:
     except (ParseError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
-        with open(args.output, "w") as fh:
-            emit_report(args.command, config, results, args.format, out=fh)
-    else:
-        emit_report(args.command, config, results, args.format)
+    try:
+        report = open(args.output, "w") if args.output else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"usage error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
+    with report as out:  # None: stdout
+        emit_report(args.command, config, results, args.format, out=out)
     return 0
 
 

@@ -95,7 +95,7 @@ class CoordinateMap:
 
     __slots__ = ("nvars", "images", "order")
 
-    def __init__(self, images, order: int, _skip_check: bool = False):
+    def __init__(self, images, order: int):
         images = tuple(_as_series(im, order) for im in images)
         nvars = images[0].nvars
         for im in images:
@@ -106,7 +106,7 @@ class CoordinateMap:
         self.nvars = nvars
         self.images = images
         self.order = order
-        if not _skip_check and not self.jacobian_at_zero():
+        if not self.jacobian_at_zero():
             raise ValueError("map is not an automorphism: Jacobian vanishes at 0")
 
     # construction helpers -------------------------------------------------
@@ -133,12 +133,9 @@ class CoordinateMap:
     # queries ---------------------------------------------------------------
 
     def linear_part(self):
-        out = [[Fraction(0)] * self.nvars for _ in range(self.nvars)]
-        for i, im in enumerate(self.images):
-            for mono, coeff in im.poly.graded_part(1).terms.items():
-                j = mono.index(1)
-                out[i][j] = Fraction(coeff)
-        return out
+        # n lookups per image, not a walk over its terms: every map checks this
+        units = [tuple(int(k == j) for k in range(self.nvars)) for j in range(self.nvars)]
+        return [[Fraction(im.poly.terms.get(u, 0)) for u in units] for im in self.images]
 
     def jacobian_at_zero(self):
         return det_dense(self.linear_part())
@@ -161,7 +158,7 @@ class CoordinateMap:
         ]
         powers = _Powers(_image_list(shifts, n, "shift"), order)  # one g^alpha cache for all n
         images = [_taylor_shift(im.poly, powers) for im in self.images]
-        return CoordinateMap(images, order, _skip_check=True)
+        return CoordinateMap(images, order)
 
     def invert(self) -> "CoordinateMap":
         """Compositional inverse mod m^order, by fixed-point refinement."""
@@ -188,7 +185,7 @@ class CoordinateMap:
             if new_sigma == sigma:
                 break
             sigma = new_sigma
-        result = CoordinateMap(sigma, order, _skip_check=True)
+        result = CoordinateMap(sigma, order)
         check = self.then(result)
         for i, im in enumerate(check.images, start=1):
             if im.poly != Polynomial.variable(n, i):

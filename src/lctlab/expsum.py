@@ -53,11 +53,12 @@ from .polyring import Polynomial, partial_derivative
 def _int_terms(f: Polynomial):
     # a Polynomial keeps integral coefficients as ints, so a Fraction is not one
     if any(isinstance(c, Fraction) for c in f.terms.values()):
-        raise ValueError("exponential sums need integer coefficients")
+        raise ValueError("exponential sums and jet counts need integer coefficients")
     return list(f.terms.items())
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_TOL = 1e-9  # an identity holds when its difference of normalized sums is below this
 
 
 def _eval_terms_mod(terms, grids, modulus):
@@ -318,7 +319,6 @@ def igusa_identity_check(
     z_gens: Optional[IdealGens] = None,
     budget=None,
     min_p: Optional[int] = None,
-    tol: float = 1e-9,
 ) -> IgusaReport:
     """Check the restricted-sum identities for m >= 2.
 
@@ -369,11 +369,11 @@ def igusa_identity_check(
     sample = tuple(map(int, np.unravel_index(first, shape))) if off_j[first] else None
     cut = fcut & jcut if zmask is None else fcut & jcut & zmask(grids)
 
-    hist_z = _histogram(f, p, m, budget, zmask).counts
+    hist_z = _tube_counts(f, p, m, zmask)
     hist_z_f = np.zeros_like(hist_z)
     hist_z_f[::q] = hist_z[::q]  # cut (1) keeps the values c = 0 mod q
     # the census at level m - 1 runs over these same residues mod q
-    hist_z_fj = _histogram(f, p, m, budget, lambda _: cut, level=m - 1).counts
+    hist_z_fj = _tube_counts(f, p, m, lambda _: cut, level=m - 1)
     norm = p ** (m * n)
 
     def value_of(delta_counts):
@@ -396,9 +396,9 @@ def igusa_identity_check(
         for val in vals.tolist():
             acc += cmath.exp(2j * math.pi * val / modulus)
         orth_value = abs(acc) / norm
-        orth = orth_value < tol
+        orth = orth_value < _TOL
 
-    return IgusaReport(p, m, d1 < tol, d2 < tol, orth, d1, d2, orth_value, warnings)
+    return IgusaReport(p, m, d1 < _TOL, d2 < _TOL, orth, d1, d2, orth_value, warnings)
 
 
 # ----------------------------------------------------------------------

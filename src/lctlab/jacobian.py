@@ -1,23 +1,28 @@
 """Jacobian ideals, truncated ideal membership, Milnor numbers.
 
-Ideals are plain generator lists.  Everything here reduces to exact linear
+Ideals are plain generator lists; the constructors prune an all-monomial
+list to its minimal monomials by one rule, ``_minimal_monomials``, which the
+Newton-polyhedron thresholds share.  Everything else reduces to exact linear
 algebra over the rationals on finite-dimensional truncations of the local
 ring at the origin, done by the one elimination kernel
-:class:`~lctlab.linalg.SparseEliminator` on sparse rows keyed by monomials.
-Rows carry the polynomials' own int or Fraction coefficients; the kernel
-clears denominators once per row and eliminates on integers, so a germ with
-integer coefficients builds Fractions only when a witness is read back:
+:class:`~lctlab.linalg.SparseEliminator` on rows made by one function,
+``_truncated_multiples``: each generator times each monomial of low enough
+degree, truncated below ``m^N``.  Rows carry the polynomials' own int or
+Fraction coefficients; the kernel clears denominators once per row and
+eliminates on integers, so a germ with integer coefficients builds Fractions
+only when a witness is read back:
 
-* ``membership_truncated`` adds each generator times each monomial of low
-  enough degree as a tagged row, asks the kernel to solve for the target,
-  and returns the series coefficients as a witness that re-expands exactly
-  modulo ``m^N``, or a definite failure at that order;
+* ``membership_truncated`` adds these rows tagged (generator, monomial),
+  asks the kernel to solve for the target, and returns the series
+  coefficients as a witness that re-expands exactly modulo ``m^N``, or a
+  definite failure at that order;
 * ``milnor_number`` computes the colength of the Jacobian ideal, the
-  monomial count minus the kernel's rank on untagged rows, by
-  increasing the truncation order until the quotient dimension stabilizes,
-  which is permanent in the complete local ring (if no degree-N monomial is
-  independent modulo the ideal, multiplying by the maximal ideal shows the
-  same for every higher degree, and the Krull intersection theorem finishes).
+  monomial count minus the kernel's rank on the untagged rows of the
+  partials, by increasing the truncation order until the quotient dimension
+  stabilizes, which is permanent in the complete local ring (if no degree-N
+  monomial is independent modulo the ideal, multiplying by the maximal ideal
+  shows the same for every higher degree, and the Krull intersection theorem
+  finishes).
 """
 
 from __future__ import annotations
@@ -80,24 +85,23 @@ def _mono_divides(a, b) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _prune_monomial(gens):
-    """Minimal generating monomials: drop any monomial another one divides.
+def _minimal_monomials(exponents):
+    """The exponent vectors no other one divides, each once, in first-seen
+    order: the minimal generators of the monomial ideal they generate."""
+    distinct = list(dict.fromkeys(exponents))
+    return [m for m in distinct if not any(o != m and _mono_divides(o, m) for o in distinct)]
 
-    Only applies when every generator is a monomial; coefficients are units
-    and ignored.  Output is sorted by (degree, grevlex) for determinism.
-    """
-    first_seen = {}
-    for g in gens:
-        if g.is_zero():
-            continue
-        (mono,) = g.terms
-        first_seen.setdefault(mono, g)
-    monos = set(first_seen)
-    keep = [
-        m for m in monos if not any(o != m and _mono_divides(o, m) for o in monos)
-    ]
-    keep.sort(key=lambda m: (sum(m), tuple(reversed(m))))
-    return [first_seen[m] for m in keep]
+
+def _ideal(nvars: int, gens) -> IdealGens:
+    """The ideal of ``gens``; an all-monomial list is pruned to its minimal
+    monomials, each with its first coefficient (a unit), sorted by (degree,
+    grevlex) for determinism."""
+    a = IdealGens(nvars, gens)
+    if not a.is_monomial():
+        return a
+    first_seen = {mono: g for g in reversed(a.gens) for mono in g.terms}  # first one wins
+    keep = sorted(_minimal_monomials(first_seen), key=lambda m: (sum(m), tuple(reversed(m))))
+    return IdealGens(nvars, [first_seen[m] for m in keep])
 
 
 def jacobian_ideal(f: Polynomial) -> IdealGens:
@@ -121,18 +125,13 @@ def ideal_D(a: IdealGens) -> IdealGens:
             d = partial_derivative(g, i)
             if not d.is_zero():
                 gens.append(d)
-    if all(len(g.terms) == 1 for g in gens if not g.is_zero()):
-        gens = _prune_monomial(gens)
-    return IdealGens(a.nvars, gens)
+    return _ideal(a.nvars, gens)
 
 
 def ideal_sum(a: IdealGens, b: IdealGens) -> IdealGens:
     if a.nvars != b.nvars:
         raise ValueError("nvars mismatch")
-    gens = list(a.gens) + list(b.gens)
-    if all(len(g.terms) == 1 for g in gens if not g.is_zero()):
-        gens = _prune_monomial(gens)
-    return IdealGens(a.nvars, gens)
+    return _ideal(a.nvars, a.gens + b.gens)
 
 
 def ideal_product(a: IdealGens, b: IdealGens) -> IdealGens:
@@ -152,9 +151,7 @@ def ideal_product(a: IdealGens, b: IdealGens) -> IdealGens:
         for g in a.gens:
             for h in b.gens:
                 gens.append(g * h)
-    if all(len(g.terms) == 1 for g in gens if not g.is_zero()):
-        gens = _prune_monomial(gens)
-    return IdealGens(a.nvars, gens)
+    return _ideal(a.nvars, gens)
 
 
 def ideal_power(a: IdealGens, k: int) -> IdealGens:
@@ -168,6 +165,30 @@ def ideal_power(a: IdealGens, k: int) -> IdealGens:
 
 # ----------------------------------------------------------------------
 # truncated membership
+
+
+def _truncated_multiples(nvars: int, gens, order: int, min_degree: int = 0):
+    """``(column, rows)``: ``column`` numbers the monomials of degree < order
+    in degree order, so pivot ties fall to the lowest degree, and ``rows``
+    lazily yields ``(i, a, {column: coefficient})``, x^a * g_i truncated below
+    m^order, for each nonzero g_i and min_degree <= |a| < order - mult(g_i)."""
+    column = {m: k for k, m in enumerate(monomials_below((1,) * nvars, order))}
+
+    def rows():
+        for i, gen in enumerate(gens):
+            if gen.is_zero():
+                continue
+            for mono in monomials_below((1,) * nvars, order - gen.multiplicity()):
+                if sum(mono) < min_degree:
+                    continue
+                row = {}
+                for m, c in gen.terms.items():
+                    s = tuple(map(int.__add__, m, mono))
+                    if sum(s) < order:
+                        row[column[s]] = c
+                yield i, mono, row
+
+    return column, rows()
 
 
 @dataclass
@@ -212,30 +233,18 @@ def membership_truncated(
         raise ValueError("order must be >= 1")
     if g.nvars != a.nvars:
         raise ValueError("nvars mismatch")
-    nvars = a.nvars
     target = g.truncate(order)
-    # columns are numbered in degree order, so pivot ties fall to the lowest degree
-    column = {m: k for k, m in enumerate(monomials_below((1,) * nvars, order))}
+    column, rows = _truncated_multiples(a.nvars, a.gens, order, min_degree)
     elim = SparseEliminator()
-    for gi, gen in enumerate(a.gens):
-        if gen.is_zero():
-            continue
-        for mono in monomials_below((1,) * nvars, order - gen.multiplicity()):
-            if sum(mono) < min_degree:
-                continue
-            shifted = {}
-            for m, c in gen.terms.items():
-                s = tuple(map(int.__add__, m, mono))
-                if sum(s) < order:
-                    shifted[column[s]] = c
-            elim.add_row(shifted, tag=(gi, mono))
+    for gi, mono, row in rows:
+        elim.add_row(row, tag=(gi, mono))
     sol = elim.solve({column[m]: c for m, c in target.terms.items()})
     if sol is None:
         return NotMember(order, "linear system inconsistent at this order")
     per_gen = [{} for _ in a.gens]
     for (gi, mono), value in sol.items():
         per_gen[gi][mono] = value
-    coeffs = [TruncatedSeries(Polynomial(nvars, terms), order) for terms in per_gen]
+    coeffs = [TruncatedSeries(Polynomial(a.nvars, terms), order) for terms in per_gen]
     witness = MembershipWitness(target, a, coeffs, order)
     if not witness.verify():
         raise AssertionError("membership witness failed to re-expand")
@@ -293,25 +302,12 @@ class Inconclusive:
 def _colength(f: Polynomial, order: int) -> int:
     """dim of (monomials of degree < order) modulo truncations of m-multiples
     of the partial derivatives."""
-    n = f.nvars
-    partials = [partial_derivative(f, i) for i in range(1, n + 1)]
+    partials = [partial_derivative(f, i) for i in range(1, f.nvars + 1)]
+    column, rows = _truncated_multiples(f.nvars, partials, order)
     elim = SparseEliminator()
-    nmons = 0
-    for mono in monomials_below((1,) * n, order):
-        nmons += 1
-        for p in partials:
-            if p.is_zero():
-                continue
-            if sum(mono) + p.multiplicity() >= order:
-                continue
-            row = {}
-            for m, c in p.terms.items():
-                s = tuple(map(int.__add__, m, mono))
-                if sum(s) < order:
-                    row[s] = c
-            if row:
-                elim.add_row(row)
-    return nmons - elim.rank
+    for _, _, row in rows:
+        elim.add_row(row)
+    return len(column) - elim.rank
 
 
 def milnor_number(f: Polynomial, order_cap: int = 64):

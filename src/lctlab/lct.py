@@ -36,8 +36,9 @@ from itertools import combinations
 from math import comb, gcd
 from typing import Optional
 
+from .arcs import orbit_invariants
 from .budget import check_budget
-from .jacobian import IdealGens, _mono_divides, ideal_D, ideal_power, ideal_sum
+from .jacobian import IdealGens, _minimal_monomials, ideal_D, ideal_power, ideal_sum
 from .linalg import SparseEliminator
 
 
@@ -120,10 +121,8 @@ class LctCertificate:
             denom = min(d * w.b + w.a, (2 * d - 2) * w.b)
             return Fraction(n * w.b + w.a, denom) == self.value
         if isinstance(w, PartitionWitness):
-            lam = w.lam
-            codim = sum(l * (2 * i + 1) for i, l in enumerate(lam))
-            denom = min(sum(lam), 2 * sum(lam[1:]))
-            return Fraction(codim, denom) == self.value
+            inv = orbit_invariants(w.lam)
+            return inv.ord_fJ2 > 0 and Fraction(inv.codim, inv.ord_fJ2) == self.value
         if isinstance(w, NewtonWitness):
             a = context
             order = w.ray.ord_ideal(a)
@@ -183,8 +182,7 @@ def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
     if any(sum(e) == 0 for e in exps):
         raise ValueError("the unit ideal has no finite threshold")
     n = a.nvars
-    distinct = set(exps)
-    gens = sorted(v for v in distinct if not any(u != v and _mono_divides(u, v) for u in distinct))
+    gens = sorted(_minimal_monomials(exps))
     m = len(gens)
     check_budget(
         comb(m + n, n), budget, what="Newton-polyhedron vertex enumeration", unit="candidate bases"

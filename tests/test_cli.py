@@ -553,3 +553,28 @@ def test_closed_stdout_keeps_the_exit_code(argv, code, unbuffered):
     got, err = _run_with_closed_stdout(argv, unbuffered)
     assert "Traceback" not in err and "BrokenPipe" not in err, err
     assert got == code, err
+
+
+# invalid inputs that used to end in a traceback: each is a usage error
+@pytest.mark.parametrize("case", ["zero-denominator-lct", "env-budget", "output", "golden-out"])
+def test_invalid_inputs_are_usage_errors(case, capsys, monkeypatch, tmp_path):
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    argv = {
+        "zero-denominator-lct": ["decay", "--poly", "x^2", "--p", "5", "--mmax", "2", "--lct", "1/0"],
+        "env-budget": ["lct", "det", "--n", "3"],
+        "output": ["--output", str(blocker / "d" / "r.json"), "lct", "det", "--n", "3"],
+        "golden-out": ["golden", "--out", str(blocker / "g")],
+    }[case]
+    if case == "env-budget":
+        monkeypatch.setenv("LCTLAB_BUDGET", "abc")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage error:") and len(err.splitlines()) == 1, err
+
+
+def test_non_integer_jet_generator_is_refused_ahead_of_the_budget(capsys):
+    code, _, err = run(
+        capsys, "--budget", "10", "jets", "count", "--ideal", "1/2*x", "--p", "2", "--m", "40", "--e", "1"
+    )
+    assert code == 2 and "integer coefficients" in err, err

@@ -237,3 +237,173 @@ def test_milnor_inequality_reports():
     rep = check_milnor_inequality(f3, Fraction(3, 4))
     assert rep.value == Fraction(729, 64) and rep.bound == Fraction(27, 8)
     assert rep.holds
+
+
+# ---------------------------------------------------------------- one row source, one pruning rule
+
+
+def _colength_oracle(f, order):
+    """The per-monomial colength loop that ``_colength`` replaced, with
+    tuple column keys."""
+    from lctlab.linalg import SparseEliminator
+    from lctlab.polyring import monomials_below, partial_derivative
+
+    n = f.nvars
+    partials = [partial_derivative(f, i) for i in range(1, n + 1)]
+    elim = SparseEliminator()
+    nmons = 0
+    for mono in monomials_below((1,) * n, order):
+        nmons += 1
+        for p in partials:
+            if p.is_zero():
+                continue
+            if sum(mono) + p.multiplicity() >= order:
+                continue
+            row = {}
+            for m, c in p.terms.items():
+                s = tuple(map(int.__add__, m, mono))
+                if sum(s) < order:
+                    row[s] = c
+            if row:
+                elim.add_row(row)
+    return nmons - elim.rank
+
+
+def _prune_monomial_oracle(gens):
+    """The pruning helper that ``_ideal`` replaced."""
+    first_seen = {}
+    for g in gens:
+        if g.is_zero():
+            continue
+        (mono,) = g.terms
+        first_seen.setdefault(mono, g)
+    monos = set(first_seen)
+    keep = [
+        m for m in monos
+        if not any(o != m and all(x <= y for x, y in zip(o, m)) for o in monos)
+    ]
+    keep.sort(key=lambda m: (sum(m), tuple(reversed(m))))
+    return [first_seen[m] for m in keep]
+
+
+# the weighted-homogeneous germs of the ``ideals`` benchmark, and its
+# non-isolated x^3 + y^3 in three variables, each term scaled by a seeded unit
+IDEALS_GERMS = [
+    ("x^2*y+y^4", 2), ("x^4+y^6", 2), ("x^3*y+y^5", 2), ("x^5+y^7", 2),
+    ("x^3+y^7", 2), ("x^2*y+y^5+z^5", 3), ("x^3+y^4+z^5", 3), ("x^3+y^3+z^3", 3),
+    ("x^3+y^3+z^3+w^3", 4), ("x^2+y^3+z^4+w^5", 4), ("x^3+y^3", 3),
+]
+
+
+def _seeded_germs():
+    rng = random.Random(15)
+    germs = []
+    for n in (1, 2, 2, 3, 3, 4):
+        terms = {}
+        for _ in range(rng.randint(2, 4)):
+            mono = [0] * n
+            for _ in range(rng.randint(2, 5)):
+                mono[rng.randrange(n)] += 1
+            terms[tuple(mono)] = rng.choice([-3, -1, 1, 2, Fraction(1, 2)])
+        germs.append(Polynomial(n, terms))
+    # x3 does not occur, so the third partial vanishes identically
+    germs.append(P("x^3 + x*y^2 - 2*y^4", 3))
+    return germs
+
+
+@pytest.mark.parametrize("text,n", IDEALS_GERMS)
+def test_colength_agrees_with_the_per_monomial_loop_on_ideals_germs(text, n):
+    from lctlab.jacobian import _colength
+
+    rng = random.Random(text)
+    f = Polynomial(n, {m: c * rng.choice((-3, -2, -1, 1, 2, 3)) for m, c in P(text, n).terms.items()})
+    assert [_colength(f, N) for N in range(2, 12)] == [_colength_oracle(f, N) for N in range(2, 12)]
+
+
+@pytest.mark.parametrize("case", range(len(_seeded_germs())))
+def test_colength_agrees_with_the_per_monomial_loop_on_seeded_germs(case):
+    from lctlab.jacobian import _colength
+
+    f = _seeded_germs()[case]
+    if f.multiplicity() < 2:
+        f = f * Polynomial.variable(f.nvars, 1)
+    assert [_colength(f, N) for N in range(2, 12)] == [_colength_oracle(f, N) for N in range(2, 12)]
+
+
+def test_seeded_germs_include_an_identically_zero_partial():
+    from lctlab.polyring import partial_derivative
+
+    assert any(
+        partial_derivative(f, i).is_zero() for f in _seeded_germs() for i in range(1, f.nvars + 1)
+    )
+
+
+def _seeded_monomial_lists():
+    rng = random.Random(1515)
+    lists = []
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        monos = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 7))]
+        monos += rng.sample(monos, k=min(2, len(monos)))  # repeats
+        gens = []
+        for mono in monos:
+            if rng.random() < 0.15:
+                gens.append(Polynomial.zero(n))
+            gens.append(Polynomial(n, {mono: rng.choice([-2, 1, 3, Fraction(1, 3)])}))
+        rng.shuffle(gens)
+        lists.append((n, gens))
+    return lists
+
+
+def test_ideal_prunes_like_the_replaced_helper():
+    from lctlab.jacobian import _ideal
+
+    seen_repeat = seen_zero = False
+    for n, gens in _seeded_monomial_lists():
+        got = _ideal(n, gens).gens
+        want = _prune_monomial_oracle(gens)
+        assert [g.terms for g in got] == [g.terms for g in want]
+        assert [list(g.terms.values()) for g in got] == [list(g.terms.values()) for g in want]
+        monos = [next(iter(g.terms)) for g in gens if not g.is_zero()]
+        seen_repeat |= len(set(monos)) < len(monos)
+        seen_zero |= any(g.is_zero() for g in gens)
+    assert seen_repeat and seen_zero
+
+
+def test_ideal_constructors_prune_like_the_replaced_helper():
+    from lctlab.polyring import partial_derivative
+
+    for n, gens in _seeded_monomial_lists():
+        nonzero = [g for g in gens if not g.is_zero()]
+        if not nonzero:
+            continue
+        a = IdealGens(n, gens)
+        b = IdealGens(n, nonzero[::-1])
+        assert ideal_sum(a, b).gens == tuple(_prune_monomial_oracle(list(a.gens) + list(b.gens)))
+        prods = [g * h for g in a.gens for h in b.gens]
+        assert ideal_product(a, b).gens == tuple(_prune_monomial_oracle(prods))
+        derived = [partial_derivative(g, i) for g in b.gens for i in range(1, n + 1)]
+        assert ideal_D(b).gens == tuple(_prune_monomial_oracle(list(b.gens) + derived))
+
+
+def test_ideal_keeps_non_monomial_lists_and_refuses_all_zero_ones():
+    from lctlab.jacobian import _ideal
+
+    gens = [P("x^2 + y", 2), P("x^2", 2), P("x^2", 2)]
+    assert _ideal(2, gens).gens == tuple(gens)
+    with pytest.raises(ValueError):
+        _ideal(2, [Polynomial.zero(2)])
+
+
+def test_minimal_monomials_match_the_threshold_filter():
+    from lctlab.jacobian import _minimal_monomials
+
+    for _, gens in _seeded_monomial_lists():
+        exps = [next(iter(g.terms)) for g in gens if not g.is_zero()]
+        distinct = set(exps)
+        want = sorted(
+            v for v in distinct
+            if not any(u != v and all(x <= y for x, y in zip(u, v)) for u in distinct)
+        )
+        got = _minimal_monomials(exps)
+        assert sorted(got) == want and len(got) == len(set(got))

@@ -530,3 +530,52 @@ def test_integer_sweep_agrees_with_the_fraction_sweep(big):
         for kind in ("inconsistent", "nonzero target", "zero target")
         for shape in ("square", "rectangular")
     } | {"negative content", "negative lead"}
+
+
+def _membership_rows_oracle(a, order, min_degree):
+    """The tagged rows of the membership loop that ``_truncated_multiples``
+    replaced, in the order it added them."""
+    column = {m: k for k, m in enumerate(monomials_below((1,) * a.nvars, order))}
+    rows = []
+    for gi, gen in enumerate(a.gens):
+        if gen.is_zero():
+            continue
+        for mono in monomials_below((1,) * a.nvars, order - gen.multiplicity()):
+            if sum(mono) < min_degree:
+                continue
+            shifted = {}
+            for m, c in gen.terms.items():
+                s = tuple(map(int.__add__, m, mono))
+                if sum(s) < order:
+                    shifted[column[s]] = c
+            rows.append(((gi, mono), shifted))
+    return column, rows
+
+
+@pytest.mark.parametrize("case", range(len(_membership_corpus())))
+def test_membership_rows_and_witnesses_match_the_replaced_loop(case):
+    g, a, order, min_degree = _membership_corpus()[case]
+    column, rows = jacobian._truncated_multiples(a.nvars, a.gens, order, min_degree)
+    want_column, want_rows = _membership_rows_oracle(a, order, min_degree)
+    got_rows = [((gi, mono), row) for gi, mono, row in rows]
+    assert column == want_column
+    assert [(tag, list(row.items())) for tag, row in got_rows] == [
+        (tag, list(row.items())) for tag, row in want_rows
+    ]
+    # the witness the replaced loop solved for
+    elim = SparseEliminator()
+    for tag, row in want_rows:
+        elim.add_row(row, tag=tag)
+    sol = elim.solve({want_column[m]: c for m, c in g.truncate(order).terms.items()})
+    got = membership_truncated(g, a, order, min_degree)
+    if sol is None:
+        assert not isinstance(got, MembershipWitness)
+        return
+    from lctlab.polyring import Polynomial
+
+    per_gen = [{} for _ in a.gens]
+    for (gi, mono), value in sol.items():
+        per_gen[gi][mono] = value
+    assert [list(c.poly.terms.items()) for c in got.coefficients] == [
+        list(Polynomial(a.nvars, t).terms.items()) for t in per_gen
+    ]
