@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .arcs import (
     CodimEstimate,
-    JetPoint,
     OrbitInvariants,
     count_contact_jets,
     empirical_codim,

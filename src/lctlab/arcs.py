@@ -11,7 +11,8 @@ lower levels (Taylor expansion: c_l enters only through the linear term).
 So a constrained level is an affine system over F_p: where J has full row
 rank every level contributes p^(n-s) in closed form, and elsewhere only
 the solutions of the system are recursed into.  Levels at or above the
-contact order are free and counted as a power of p.
+contact order are free and counted as a power of p.  The brute-force
+reference, one jet at a time, lives in ``tests/oracles.py``.
 
 The closed-form orbit invariants of the determinantal family live here too,
 since they are what the contact-locus counts get compared against.
@@ -29,43 +30,6 @@ from .budget import check_budget
 from .expsum import _eval_terms_mod, _int_terms, _residue_grids, _vanishing
 from .jacobian import IdealGens
 from .polyring import Polynomial, partial_derivative
-
-
-@dataclass(frozen=True)
-class JetPoint:
-    """An order-m jet: one coefficient tuple (length m+1, reduced mod p) per
-    coordinate."""
-
-    p: int
-    m: int
-    coords: tuple  # n tuples of m+1 coefficients each
-
-    def __post_init__(self):
-        coords = tuple(
-            tuple(int(c) % self.p for c in coeffs) for coeffs in self.coords
-        )
-        for coeffs in coords:
-            if len(coeffs) != self.m + 1:
-                raise ValueError("each coordinate needs m + 1 coefficients")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coords)
-
-    def contact_order(self, poly: Polynomial):
-        """t-adic order of poly evaluated on the jet; m + 1 means the value
-        is zero to the full truncation (order >= m + 1)."""
-        vals = _poly_eval_jet(
-            poly, [list(c) for c in self.coords], self.p, self.m + 1
-        )
-        for j, v in enumerate(vals):
-            if v:
-                return j
-        return self.m + 1
-
-    def contact_order_ideal(self, gens: "IdealGens"):
-        return min(self.contact_order(g) for g in gens.gens)
 
 
 @dataclass(frozen=True)
@@ -258,10 +222,11 @@ def empirical_codim(data, nvars: int, m: int) -> CodimEstimate:
     """Estimate the codimension of a contact locus from counts at several
     primes: density(p) ~ C * p^(-codim) to leading order.
 
-    data: list of (p, count) at fixed (m, e).  Needs at least two primes.
+    data: list of (p, count) at fixed (m, e).  Needs at least two distinct
+    primes: with one, the least-squares slope is undetermined.
     """
-    if len(data) < 2:
-        raise ValueError("need at least two (p, count) data points")
+    if len({p for p, _ in data}) < 2:
+        raise ValueError("needs at least two distinct primes")
     pts = []
     for p, count in data:
         density = count / p ** ((m + 1) * nvars)

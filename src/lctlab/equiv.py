@@ -46,7 +46,7 @@ from .jacobian import (
     quadratic_form_matrix,
     quadratic_rank,
 )
-from .linalg import det_dense, solve_dense
+from .linalg import det_dense
 from .polyring import (
     Polynomial,
     TruncatedSeries,
@@ -97,6 +97,8 @@ class CoordinateMap:
 
     def __init__(self, images, order: int):
         images = tuple(_as_series(im, order) for im in images)
+        if not images:
+            raise ValueError("a map needs at least one image")
         nvars = images[0].nvars
         for im in images:
             if im.nvars != nvars:
@@ -159,38 +161,6 @@ class CoordinateMap:
         powers = _Powers(_image_list(shifts, n, "shift"), order)  # one g^alpha cache for all n
         images = [_taylor_shift(im.poly, powers) for im in self.images]
         return CoordinateMap(images, order)
-
-    def invert(self) -> "CoordinateMap":
-        """Compositional inverse mod m^order, by fixed-point refinement."""
-        n, order = self.nvars, self.order
-        lin = self.linear_part()
-        # inverse of the linear part, solving L^T columns exactly
-        inv = [solve_dense(lin, [int(k == i) for k in range(n)]) for i in range(n)]
-        # linv[i][j]: coefficient of x_j in the i-th inverse image
-        linv = [[inv[j][i] for j in range(n)] for i in range(n)]
-
-        def linear_apply(vecs):
-            return [dot(n, [(Polynomial.constant(n, c), v) for c, v in zip(row, vecs)])
-                    for row in linv]
-
-        xs = [Polynomial.variable(n, i) for i in range(1, n + 1)]
-        higher = [im.poly - im.poly.graded_part(1) for im in self.images]
-        sigma = linear_apply(xs)
-        for _ in range(order + 1):
-            correction = [
-                substitute(h, sigma, order).poly if not h.is_zero() else h
-                for h in higher
-            ]
-            new_sigma = linear_apply([x - c for x, c in zip(xs, correction)])
-            if new_sigma == sigma:
-                break
-            sigma = new_sigma
-        result = CoordinateMap(sigma, order)
-        check = self.then(result)
-        for i, im in enumerate(check.images, start=1):
-            if im.poly != Polynomial.variable(n, i):
-                raise AssertionError("map inversion failed to verify")
-        return result
 
     def __repr__(self):
         ims = ", ".join(str(im.poly) for im in self.images)

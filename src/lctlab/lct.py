@@ -24,7 +24,9 @@ Three independent computations live here:
 General thresholds (arbitrary non-monomial ideals) are deliberately not
 computed: they require resolutions, which are out of scope.  The consistency
 checks at the bottom compare the two family computations against each other
-and against the minimal exponents, in exact rational arithmetic.
+and against the minimal exponents, in exact rational arithmetic.  The
+brute-force ray searches that cross-check :func:`newton_lct` and
+:func:`lct_diag_fJ2` live with the tests, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -330,34 +332,6 @@ def fourier_motzkin_minimize(num_vars: int, inequalities, objective_var: int):
     return lower
 
 
-def newton_lct_witness_ray(a: IdealGens, weight_bound: int):
-    """Search primitive rays with entries <= weight_bound realizing the
-    smallest log-discrepancy to order ratio.  Independent of the LP route;
-    used to cross-check newton_lct."""
-    from itertools import product as iproduct
-
-    best = None
-    best_ray = None
-    n = a.nvars
-    for w in iproduct(range(weight_bound + 1), repeat=n):
-        if all(v == 0 for v in w):
-            continue
-        g = 0
-        for v in w:
-            g = gcd(g, v)
-        if g != 1:
-            continue
-        ray = RayValuation(w)
-        o = ray.ord_ideal(a)
-        if o == 0:
-            continue
-        val = Fraction(ray.log_discrepancy(), o)
-        if best is None or val < best:
-            best = val
-            best_ray = ray
-    return best, best_ray
-
-
 # ----------------------------------------------------------------------
 # the two families
 
@@ -392,18 +366,6 @@ def lct_diag_fJ2(n: int, d: int) -> LctCertificate:
     if not cert.check((n, d)):
         raise AssertionError("diagonal threshold certificate failed its check")
     return cert
-
-
-def lct_diag_bruteforce(n: int, d: int, bound: int = 50) -> Fraction:
-    """Independent check: minimize over integer rays (a, b) <= bound directly."""
-    best = None
-    for b in range(1, bound + 1):
-        for a in range(0, bound + 1):
-            denom = min(d * b + a, (2 * d - 2) * b)
-            val = Fraction(n * b + a, denom)
-            if best is None or val < best:
-                best = val
-    return best
 
 
 def _det_slice_classes(n: int, bound: int) -> dict:

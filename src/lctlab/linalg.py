@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals, on sparse integer dict rows.
 
 :class:`SparseEliminator` is the one elimination kernel: ideal membership
-solves with it, Milnor-number colengths read its rank, and ``solve_dense``,
-``rank_dense`` and ``det_dense`` are front doors over it for small dense
-matrices.
+solves with it, Milnor-number colengths read its rank, and ``rank_dense``
+and ``det_dense`` are front doors over it for small dense matrices.
+``solve_dense`` is a third such door with no caller in the library: the
+test oracle that inverts coordinate maps (``tests/oracles.py``) solves with
+it, and the benchmark's traced run looks its name up.
 
 Rows are kept fraction-free (Bareiss, Math. Comp. 22, 1968), with entry
 growth held down by gcds rather than by Bareiss's exact division: a row with

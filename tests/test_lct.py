@@ -25,15 +25,14 @@ from lctlab.lct import (
     det_roots,
     fourier_motzkin_minimize,
     lct_det_fJ2,
-    lct_diag_bruteforce,
     lct_diag_fJ2,
     newton_lct,
     newton_lct_certificate,
-    newton_lct_witness_ray,
     yano_roots,
 )
 from lctlab.linalg import SparseEliminator
 from lctlab.polyring import Polynomial, parse_poly
+from oracles import lct_diag_bruteforce, newton_lct_witness_ray
 
 
 def P(text, nvars):
