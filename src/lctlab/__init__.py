@@ -9,13 +9,7 @@ over prime fields, and p-adic exponential sums with their decay exponents.
 
 __version__ = "0.1.0"
 
-from .arcs import (
-    CodimEstimate,
-    OrbitInvariants,
-    count_contact_jets,
-    empirical_codim,
-    orbit_invariants,
-)
+from .arcs import CodimEstimate, count_contact_jets, empirical_codim
 from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .equiv import (
     CoordinateMap,
@@ -61,6 +55,7 @@ from .lct import (
     FamilyReport,
     LctCertificate,
     NewtonWitness,
+    OrbitInvariants,
     RayValuation,
     check_corD,
     check_theorems,
@@ -69,6 +64,7 @@ from .lct import (
     lct_diag_fJ2,
     newton_lct,
     newton_lct_certificate,
+    orbit_invariants,
     yano_roots,
 )
 from .polyring import (

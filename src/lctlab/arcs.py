@@ -14,8 +14,9 @@ the solutions of the system are recursed into.  Levels at or above the
 contact order are free and counted as a power of p.  The brute-force
 reference, one jet at a time, lives in ``tests/oracles.py``.
 
-The closed-form orbit invariants of the determinantal family live here too,
-since they are what the contact-locus counts get compared against.
+The closed-form orbit invariants of the determinantal family, which
+contact-locus counts of the determinant get compared against, live in
+:mod:`lctlab.lct` beside the threshold that reads them.
 """
 
 from __future__ import annotations
@@ -30,40 +31,6 @@ from .budget import check_budget
 from .expsum import _eval_terms_mod, _int_terms, _residue_grids, _vanishing
 from .jacobian import IdealGens
 from .polyring import Polynomial, partial_derivative
-
-
-@dataclass(frozen=True)
-class OrbitInvariants:
-    """Invariants of the matrix-jet orbit labeled by a partition.
-
-    codim = sum(lam_i * (2i - 1)); the determinant vanishes to order
-    sum(lam_i) along the orbit and the submaximal minors to order
-    sum_{i >= 2}(lam_i).
-    """
-
-    lam: tuple
-    codim: int
-    ord_f: int
-    ord_J: int
-
-    @property
-    def ord_fJ2(self) -> int:
-        return min(self.ord_f, 2 * self.ord_J)
-
-
-def orbit_invariants(lam) -> OrbitInvariants:
-    lam = tuple(int(v) for v in lam)
-    if any(v < 0 for v in lam):
-        raise ValueError("partition entries must be non-negative")
-    if any(a < b for a, b in zip(lam, lam[1:])):
-        raise ValueError("partition must be weakly decreasing")
-    codim = sum(v * (2 * i + 1) for i, v in enumerate(lam))
-    return OrbitInvariants(
-        lam=lam,
-        codim=codim,
-        ord_f=sum(lam),
-        ord_J=sum(lam[1:]),
-    )
 
 
 # ----------------------------------------------------------------------

@@ -708,28 +708,33 @@ def _run(argv) -> int:
         if k not in ("func", "command") and v is not None and not callable(v)
     }
     try:
-        config.setdefault("budget", resolve_budget(args.budget))
-        if config["budget"] <= 0:
-            raise ValueError("budget must be positive")
-        _check_args(args, config["budget"])
-        results = args.func(args)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 3
-    except (CheckFailure, RankDropError, AssertionError) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, ValueError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        # opened before any work, so an unwritable path fails at once
         report = open(args.output, "w") if args.output else contextlib.nullcontext()
     except OSError as exc:
         print(f"usage error: cannot write the report: {exc}", file=sys.stderr)
         return 2
+    code = 0
     with report as out:  # None: stdout
-        emit_report(args.command, config, results, args.format, out=out)
-    return 0
+        try:
+            config.setdefault("budget", resolve_budget(args.budget))
+            if config["budget"] <= 0:
+                raise ValueError("budget must be positive")
+            _check_args(args, config["budget"])
+            results = args.func(args)
+        except BudgetExceededError as exc:
+            print(f"budget exceeded: {exc}", file=sys.stderr)
+            code = 3
+        except (CheckFailure, RankDropError, AssertionError) as exc:
+            print(f"check failed: {exc}", file=sys.stderr)
+            code = 1
+        except (ParseError, ValueError) as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            code = 2
+        else:
+            emit_report(args.command, config, results, args.format, out=out)
+    if code and args.output and os.path.isfile(args.output):
+        os.remove(args.output)  # a failed command leaves no report file
+    return code
 
 
 if __name__ == "__main__":

@@ -272,6 +272,7 @@ def exp_sum_restricted(
     the measure), matching the integral it discretizes.  An empty or None
     restriction gives the complete sum.
     """
+    _require_nonconstant(f, "exp_sum_restricted")
     if z_gens is not None and z_gens.nvars != f.nvars:
         raise ValueError("restriction nvars mismatch")
     mask = _reduction_mask(z_gens, p)

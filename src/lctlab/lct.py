@@ -15,7 +15,8 @@ Three independent computations live here:
 * :func:`lct_diag_fJ2` and :func:`lct_det_fJ2`: closed-form thresholds of
   the ideal (f) + J_f^2 for the diagonal family x_1^d + ... + x_n^d and for
   the generic n x n determinant, each returned with the ray or partition
-  witness achieving the minimum and cross-checkable by re-evaluation;
+  witness achieving the minimum and cross-checkable by re-evaluation; the
+  partition witness is the :class:`OrbitInvariants` of its matrix-jet orbit;
 
 * :func:`yano_roots` / :func:`det_roots`: root multisets of the reduced
   Bernstein-Sato polynomials of the two families, from which the minimal
@@ -38,7 +39,6 @@ from itertools import combinations
 from math import comb, gcd
 from typing import Optional
 
-from .arcs import orbit_invariants
 from .budget import check_budget
 from .jacobian import IdealGens, _minimal_monomials, ideal_D, ideal_power, ideal_sum
 from .linalg import SparseEliminator
@@ -88,10 +88,38 @@ class BlowupRayWitness:
 
 
 @dataclass(frozen=True)
-class PartitionWitness:
-    """Witness partition for the determinantal family's orbit minimization."""
+class OrbitInvariants:
+    """Invariants of the matrix-jet orbit labeled by a partition, and the
+    witness of the determinantal family's orbit minimization.
+
+    codim = sum(lam_i * (2i - 1)); the determinant vanishes to order
+    sum(lam_i) along the orbit and the submaximal minors to order
+    sum_{i >= 2}(lam_i).
+    """
 
     lam: tuple
+    codim: int
+    ord_f: int
+    ord_J: int
+
+    @property
+    def ord_fJ2(self) -> int:
+        return min(self.ord_f, 2 * self.ord_J)
+
+
+def orbit_invariants(lam) -> OrbitInvariants:
+    lam = tuple(int(v) for v in lam)
+    if any(v < 0 for v in lam):
+        raise ValueError("partition entries must be non-negative")
+    if any(a < b for a, b in zip(lam, lam[1:])):
+        raise ValueError("partition must be weakly decreasing")
+    codim = sum(v * (2 * i + 1) for i, v in enumerate(lam))
+    return OrbitInvariants(
+        lam=lam,
+        codim=codim,
+        ord_f=sum(lam),
+        ord_J=sum(lam[1:]),
+    )
 
 
 @dataclass(frozen=True)
@@ -113,7 +141,6 @@ class NewtonWitness:
 class LctCertificate:
     value: Fraction
     witness: object
-    bound_proof: str
 
     def check(self, context) -> bool:
         """Re-evaluate the defining ratio at the witness; exact equality."""
@@ -122,8 +149,8 @@ class LctCertificate:
             n, d = context
             denom = min(d * w.b + w.a, (2 * d - 2) * w.b)
             return Fraction(n * w.b + w.a, denom) == self.value
-        if isinstance(w, PartitionWitness):
-            inv = orbit_invariants(w.lam)
+        if isinstance(w, OrbitInvariants):
+            inv = orbit_invariants(w.lam)  # re-derived, not read from w
             return inv.ord_fJ2 > 0 and Fraction(inv.codim, inv.ord_fJ2) == self.value
         if isinstance(w, NewtonWitness):
             a = context
@@ -233,14 +260,7 @@ def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
         break
     else:
         raise AssertionError("no optimal basis of the Newton polyhedron is dual feasible")
-    cert = LctCertificate(
-        value=Fraction(*best),
-        witness=witness,
-        bound_proof=(
-            "lct <= A(ray)/ord_ray(a) at the optimal vertex; lct >= sum(lambda) "
-            "since sum(lambda_j v_j) <= (1,..,1) with lambda >= 0"
-        ),
-    )
+    cert = LctCertificate(value=Fraction(*best), witness=witness)
     if not cert.check(a):
         raise AssertionError("Newton-polyhedron certificate failed its check")
     return cert
@@ -354,15 +374,7 @@ def lct_diag_fJ2(n: int, d: int) -> LctCertificate:
     closed = min(Fraction(n + d - 2, 2 * d - 2), Fraction(n, d))
     if value != closed:
         raise AssertionError("piecewise minimization disagrees with closed form")
-    cert = LctCertificate(
-        value=value,
-        witness=witness,
-        bound_proof=(
-            "scale-invariant in (a,b); on b=1 the objective is monotone on "
-            "both sides of the breakpoint a = d-2, so the endpoints a in "
-            "{0, d-2} exhaust the minimum"
-        ),
-    )
+    cert = LctCertificate(value=value, witness=witness)
     if not cert.check((n, d)):
         raise AssertionError("diagonal threshold certificate failed its check")
     return cert
@@ -416,50 +428,27 @@ def lct_det_fJ2(n: int, budget=None) -> LctCertificate:
     (0-indexed) strictly increase, so the greedy tail (lambda_1, ...,
     lambda_1, r, 0, ...), which majorizes every other tail of sum T with
     entries <= lambda_1, is the unique class minimizer; its codim is
-    lambda_1 (q+1)^2 + r(2q+3) for T = q*lambda_1 + r.  The lower bound 2 is
-    certified symbolically for every partition (see
-    _det_lower_bound_argument).  ``budget`` bounds the number of classes,
+    lambda_1 (q+1)^2 + r(2q+3) for T = q*lambda_1 + r.
+
+    The lower bound 2 holds for every partition with two parts, on or off
+    the slice, with lam_i 1-indexed.  When ord = 2*sum_{i>=2} lam_i,
+    codim - 4*sum_{i>=2} lam_i = lam_1 - lam_2 + sum_{i>=3}(2i-5) lam_i >= 0,
+    since lam_1 >= lam_2 and 2i-5 >= 1 for i >= 3.  When ord = sum(lam), so
+    lam_1 <= sum_{i>=2} lam_i, codim - 2*sum(lam) = -lam_1 +
+    sum_{i>=2}(2i-3) lam_i >= -lam_1 + sum_{i>=2} lam_i >= 0, since
+    2i-3 >= 1 for i >= 2.  The witness is the :class:`OrbitInvariants` of
+    the least minimizing partition.  ``budget`` bounds the number of classes,
     about 8n^2.
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    bound = 4 * n
-    best, best_lam = _det_slice_minimum(n, bound, budget)
-    if not _det_lower_bound_argument(n):
-        raise AssertionError("symbolic lower bound failed")
+    best, best_lam = _det_slice_minimum(n, 4 * n, budget)
     if best != 2:
         raise AssertionError(f"slice minimum is {best}, expected 2")
-    cert = LctCertificate(
-        value=Fraction(2),
-        witness=PartitionWitness(best_lam),
-        bound_proof=(
-            f"minimum over the slice sum(lambda) <= {bound}, per class "
-            "(lambda_1, tail sum) at its greedy tail, which majorizes the "
-            "others; plus the symbolic bound codim >= 2*min(ord_f, 2 ord_J) "
-            "valid for every partition"
-        ),
-    )
+    cert = LctCertificate(value=Fraction(2), witness=orbit_invariants(best_lam))
     if not cert.check(None):
         raise AssertionError("determinantal threshold certificate failed its check")
     return cert
-
-
-def _det_lower_bound_argument(n: int) -> bool:
-    """Coefficient-level proof that every admissible partition has ratio >= 2.
-
-    Case ord = 2*sum_{i>=2}: codim - 4*sum_{i>=2} = lam_1 - lam_2 +
-    sum_{i>=3}(2i-5) lam_i >= 0 since lam_1 >= lam_2 and 2i-5 >= 1 for i>=3.
-    Case ord = sum(lam) (so lam_1 <= sum_{i>=2}): codim - 2*sum =
-    -lam_1 + sum_{i>=2}(2i-3) lam_i >= -lam_1 + sum_{i>=2} lam_i >= 0
-    since 2i-3 >= 1 for i >= 2.
-    """
-    for i in range(3, n + 1):
-        if 2 * i - 5 < 1:
-            return False
-    for i in range(2, n + 1):
-        if 2 * i - 3 < 1:
-            return False
-    return True
 
 
 # ----------------------------------------------------------------------

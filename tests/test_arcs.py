@@ -1,10 +1,10 @@
-"""Jet counts, contact loci, orbit invariants, codimension estimates."""
+"""Jet counts, contact loci, codimension estimates."""
 
 import math
 
 import pytest
 
-from lctlab.arcs import count_contact_jets, empirical_codim, orbit_invariants
+from lctlab.arcs import count_contact_jets, empirical_codim
 from lctlab.budget import BudgetExceededError
 from lctlab.jacobian import IdealGens
 from lctlab.polyring import parse_poly
@@ -19,26 +19,6 @@ def ideal(nvars, *texts):
 
 
 DET2 = ideal(4, "x1*x4 - x2*x3")
-
-
-# ---------------------------------------------------------------- orbit invariants
-
-
-def test_orbit_invariants_values():
-    oi = orbit_invariants((1, 1))
-    assert (oi.codim, oi.ord_f, oi.ord_J) == (4, 2, 1)
-    assert oi.ord_fJ2 == 2  # ratio 4/2 = 2
-    oi = orbit_invariants((1, 0))
-    assert (oi.codim, oi.ord_f, oi.ord_J) == (1, 1, 0)
-    oi = orbit_invariants((2, 1, 0))
-    assert (oi.codim, oi.ord_f, oi.ord_J) == (5, 3, 1)
-
-
-def test_orbit_invariants_rejects_increasing():
-    with pytest.raises(ValueError):
-        orbit_invariants((1, 2))
-    with pytest.raises(ValueError):
-        orbit_invariants((2, -1))
 
 
 # ---------------------------------------------------------------- jet counts

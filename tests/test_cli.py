@@ -347,6 +347,7 @@ def test_env_budget(capsys, monkeypatch):
         ["expsum", "--poly", "x^2", "--p", "4", "--m", "2"],
         ["expsum", "--poly", "x^2", "--p", "7", "--m", "0"],
         ["expsum", "--poly", "x^2", "--p", "1", "--m", "1"],
+        ["expsum", "--poly", "3", "--nvars", "1", "--p", "5", "--m", "2", "--restrict", "x"],
         ["nk", "--poly", "x^2", "--p", "4", "--k", "2"],
         ["nk", "--poly", "x^2", "--p", "5", "--k", "0"],
         ["decay", "--poly", "x^2", "--p", "4", "--mmax", "2"],
@@ -571,6 +572,30 @@ def test_invalid_inputs_are_usage_errors(case, capsys, monkeypatch, tmp_path):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("usage error:") and len(err.splitlines()) == 1, err
+
+
+def test_unwritable_output_is_refused_before_any_work(capsys, monkeypatch, tmp_path):
+    # the report path is opened first: no handler runs and stdout stays empty
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    calls = []
+    monkeypatch.setattr(cli, "lct_det_fJ2", lambda *args, **kwargs: calls.append(args))
+    code, out, err = run(capsys, "--output", str(blocker / "r.json"), "lct", "det", "--n", "3")
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("usage error: cannot write the report"), err
+
+
+@pytest.mark.parametrize("argv,code,stale", [
+    (["lct", "det", "--n", "1"], 2, False),
+    (["--budget", "5", "lct", "det", "--n", "3"], 3, False),
+    (["--budget", "5", "lct", "det", "--n", "3"], 3, True),
+])
+def test_failed_command_leaves_no_report_file(capsys, tmp_path, argv, code, stale):
+    path = tmp_path / "r.json"
+    if stale:
+        path.write_text("an earlier report")
+    assert run(capsys, "--output", str(path), *argv)[0] == code
+    assert not path.exists()
 
 
 def test_non_integer_jet_generator_is_refused_ahead_of_the_budget(capsys):

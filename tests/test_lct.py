@@ -16,6 +16,7 @@ from lctlab.budget import BudgetExceededError
 from lctlab.jacobian import IdealGens, _mono_divides, ideal_power
 from lctlab.lct import (
     NewtonWitness,
+    OrbitInvariants,
     RayValuation,
     _det_class_codim,
     _det_slice_classes,
@@ -28,6 +29,7 @@ from lctlab.lct import (
     lct_diag_fJ2,
     newton_lct,
     newton_lct_certificate,
+    orbit_invariants,
     yano_roots,
 )
 from lctlab.linalg import SparseEliminator
@@ -358,6 +360,26 @@ def test_diag_brute_force_cross_check():
             assert lct_diag_bruteforce(n, d, 50) == lct_diag_fJ2(n, d).value
 
 
+# ---------------------------------------------------------------- orbit invariants
+
+
+def test_orbit_invariants_values():
+    oi = orbit_invariants((1, 1))
+    assert (oi.codim, oi.ord_f, oi.ord_J) == (4, 2, 1)
+    assert oi.ord_fJ2 == 2  # ratio 4/2 = 2
+    oi = orbit_invariants((1, 0))
+    assert (oi.codim, oi.ord_f, oi.ord_J) == (1, 1, 0)
+    oi = orbit_invariants((2, 1, 0))
+    assert (oi.codim, oi.ord_f, oi.ord_J) == (5, 3, 1)
+
+
+def test_orbit_invariants_rejects_increasing():
+    with pytest.raises(ValueError):
+        orbit_invariants((1, 2))
+    with pytest.raises(ValueError):
+        orbit_invariants((2, -1))
+
+
 # ---------------------------------------------------------------- determinantal family
 
 
@@ -367,6 +389,24 @@ def test_det_value_and_witness(n):
     assert cert.value == 2
     assert cert.witness.lam == tuple([1, 1] + [0] * (n - 2))
     assert cert.check(None)
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_tampered_partition_witnesses_fail(n):
+    cert = lct_det_fJ2(n)
+    assert isinstance(cert.witness, OrbitInvariants)
+    assert cert.witness == orbit_invariants(cert.witness.lam)
+    zeros = (0,) * (n - 2)
+    tampered = [
+        orbit_invariants((2, 1) + zeros),  # ratio 5/2
+        orbit_invariants((1, 0) + zeros),  # one part: ord_fJ2 is 0
+        # stored invariants of (1, 1, ...) on lam = (2, 1, ...): the check
+        # re-derives them from lam instead of reading them
+        dataclasses.replace(orbit_invariants((2, 1) + zeros), codim=4, ord_f=2, ord_J=1),
+    ]
+    for bad in tampered:
+        assert not dataclasses.replace(cert, witness=bad).check(None), bad
+    assert not dataclasses.replace(cert, value=Fraction(5, 2)).check(None)
 
 
 def _partitions_bounded(n_parts: int, total: int):
