@@ -26,8 +26,9 @@ expansion of the germ F along its shift g: the new germ F(x + g) is read off
 the quadratic remainder W that the transport needs anyway, and the transition
 matrix reads the same divided powers D^beta F.  Each matrix entry and each
 sum of products of a step (shifts, check, W, V, new germ) is one ``dot``, with
-no polynomial built per term.  :func:`formal_equiv_rank2` is
-:func:`morsify` of f + g followed by the absorption of the residual germ.
+no polynomial built per term.  :func:`tougeron`, the one entry into the
+absorption, reads g from its verified witness; :func:`formal_equiv_rank2` is
+:func:`morsify` of f + g followed by :func:`tougeron` on the residual germ.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from fractions import Fraction
 from .jacobian import (
     MembershipWitness,
     NotMember,
+    _ideal,
     ideal_power,
     jacobian_ideal,
     membership_truncated,
@@ -138,7 +140,7 @@ class CoordinateMap:
     def linear_part(self):
         # n lookups per image, not a walk over its terms: every map checks this
         units = [tuple(int(k == j) for k in range(self.nvars)) for j in range(self.nvars)]
-        return [[Fraction(im.poly.terms.get(u, 0)) for u in units] for im in self.images]
+        return [[im.poly.terms.get(u, 0) for u in units] for im in self.images]
 
     def jacobian_at_zero(self):
         return det_dense(self.linear_part())
@@ -213,30 +215,64 @@ def _newton_inverse(E, order):
     return X
 
 
-def _tougeron_core(f_poly: Polynomial, H, order: int):
-    """Absorb ``sum(H[i][l] * df_i * df_l)`` into f by iterated substitutions.
+def _witness_matrix(f: Polynomial, g_witness):
+    """H with ``sum H[i][j] * d_i f * d_j f`` the witnessed element of J_f^2.
 
-    Returns the composed CoordinateMap.  ``H`` is an n x n matrix of
-    polynomial witness coefficients; the target is ``f + g`` with
-    ``g = sum_{i,l} H[i][l] * partial_i(f) * partial_l(f)``.
+    Refuses anything but a verified witness over the generators of J_f^2 as
+    ``ideal_power`` lists them: ``_ideal`` of the pair products, which
+    re-sorts and prunes products of monomials, so each generator goes to the
+    first unused pair (i, j), i <= j, it equals.
     """
-    n = f_poly.nvars
-    d = f_poly.multiplicity()
-    if d < 3 or f_poly.constant_term:
-        raise ValueError("absorption needs multiplicity >= 3 at the origin")
-    partials0 = [partial_derivative(f_poly, i) for i in range(1, n + 1)]
-    g = dot(n, [(H[i][l], partials0[i].mul_truncated(partials0[l], order))
-                for i in range(n) for l in range(n) if not H[i][l].is_zero()], order)
-    target = TruncatedSeries(f_poly + g, order)
+    if isinstance(g_witness, NotMember):
+        raise ValueError(f"g is not in the Jacobian-square ideal modulo m^{g_witness.order}")
+    n = f.nvars
+    partials = jacobian_ideal(f).gens
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    products = [partials[i] * partials[j] for i, j in pairs]
+    if [g.terms for g in g_witness.gens.gens] != [g.terms for g in _ideal(n, products).gens]:
+        raise ValueError("witness generators are not the Jacobian-square generators of f")
+    if not g_witness.verify():
+        raise ValueError("witness does not re-expand to its target")
+    H = [[Polynomial.zero(n)] * n for _ in range(n)]
+    for gen, coeff in zip(g_witness.gens.gens, g_witness.coefficients):
+        k = products.index(gen)
+        products[k] = None
+        i, j = pairs[k]
+        H[i][j] = H[i][j] + coeff.poly
+    return H
+
+
+def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> CoordinateMap:
+    """Coordinate change sending f to f + g mod m^order, for g in J_f^2.
+
+    The one entry into the absorption.  ``g_witness`` must certify membership
+    of g in the square of the Jacobian ideal (generators ordered as
+    ``ideal_power`` of ``jacobian_ideal(f)`` lists them) at order >= the
+    requested one.  g is read from the witness target, and the witness
+    coefficients give the matrix H with
+    ``g = sum_{i,l} H[i][l] * partial_i(f) * partial_l(f)``.
+    The composed map is verified by substitution before being returned.
+    """
+    d = f.multiplicity()
+    if d < 3:
+        raise ValueError("tougeron needs mult(f) >= 3; use formal_equiv_rank2 for rank cases")
+    H = _witness_matrix(f, g_witness)
+    if g_witness.order < order:
+        raise ValueError(
+            f"witness order {g_witness.order} is smaller than the requested order {order}"
+        )
+    n = f.nvars
+    g = g_witness.target.truncate(order)
+    target = TruncatedSeries(f + g, order)
 
     psi = CoordinateMap.identity(n, order)
     if g.is_zero():
         return psi
 
-    jmult = min(p.multiplicity() for p in partials0 if not p.is_zero())
+    jmult = d - 1  # mult(J_f): the degree-d part of f has a nonzero partial (Euler)
     wit_order = max(order - 2 * jmult, 1)
     H = [[H[i][l].truncate(wit_order) for l in range(n)] for i in range(n)]
-    F = TruncatedSeries(f_poly, order)
+    F = TruncatedSeries(f, order)
     a_floor = 0
     cap = math.ceil(math.log2(order + 1)) + 1  # step bound for defect squaring
     prev_res_mult = None
@@ -337,60 +373,10 @@ def _tougeron_core(f_poly: Polynomial, H, order: int):
     else:
         raise AssertionError("absorption did not converge within the step cap")
 
-    residual = target - psi.apply(f_poly, order)
+    residual = target - psi.apply(f, order)
     if not residual.is_zero():
         raise AssertionError("absorption map failed final verification")
     return psi
-
-
-def _witness_matrix(f: Polynomial, witness: MembershipWitness):
-    """H with ``sum H[i][j] * d_i f * d_j f`` the witnessed element of J_f^2.
-
-    ``ideal_product`` re-sorts and prunes products of monomials, so each
-    generator goes to the first unused pair (i, j), i <= j, it equals.
-    """
-    n = f.nvars
-    partials = [partial_derivative(f, i) for i in range(1, n + 1)]
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    products = [partials[i] * partials[j] for i, j in pairs]
-    H = [[Polynomial.zero(n)] * n for _ in range(n)]
-    for gen, coeff in zip(witness.gens.gens, witness.coefficients):
-        k = products.index(gen)
-        products[k] = None
-        i, j = pairs[k]
-        H[i][j] = H[i][j] + coeff.poly
-    return H
-
-
-def _check_witness(f: Polynomial, g_witness) -> None:
-    """Refuse anything but a verified witness over the generators of J_f^2."""
-    if isinstance(g_witness, NotMember):
-        raise ValueError(
-            f"g is not in the Jacobian-square ideal modulo m^{g_witness.order}"
-        )
-    jf2 = ideal_power(jacobian_ideal(f), 2)
-    if [g.terms for g in g_witness.gens.gens] != [g.terms for g in jf2.gens]:
-        raise ValueError("witness generators are not the Jacobian-square generators of f")
-    if not g_witness.verify():
-        raise ValueError("witness does not re-expand to its target")
-
-
-def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> CoordinateMap:
-    """Coordinate change sending f to f + g mod m^order, for g in J_f^2.
-
-    ``g_witness`` must certify membership of g in the square of the Jacobian
-    ideal (generators ordered as produced by ``ideal_power(jacobian_ideal(f),
-    2)``) at order >= the requested one.  The returned map is verified by
-    substitution before being returned.
-    """
-    if f.multiplicity() < 3:
-        raise ValueError("tougeron needs mult(f) >= 3; use formal_equiv_rank2 for rank cases")
-    _check_witness(f, g_witness)
-    if g_witness.order < order:
-        raise ValueError(
-            f"witness order {g_witness.order} is smaller than the requested order {order}"
-        )
-    return _tougeron_core(f, _witness_matrix(f, g_witness), order)
 
 
 # ----------------------------------------------------------------------
@@ -677,7 +663,7 @@ def formal_equiv_rank2(f: Polynomial, g_witness: MembershipWitness, order: int) 
     """
     n = f.nvars
     r, _diag, h = split_form(f)
-    _check_witness(f, g_witness)
+    _witness_matrix(f, g_witness)  # refuses all but a verified J_f^2 witness
     fg = f + g_witness.target
     if any(any(row[r:]) for row in quadratic_form_matrix(fg)):
         raise AssertionError("perturbed quadratic part leaks past the rank block")
@@ -700,12 +686,8 @@ def formal_equiv_rank2(f: Polynomial, g_witness: MembershipWitness, order: int) 
         rest_vars = list(range(r + 1, n + 1))
         hq_sub = _restrict_vars(resid, rest_vars)
         jhq2 = ideal_power(jacobian_ideal(hq_sub), 2)
-        # membership_truncated re-expands its own witness, so it goes to the
-        # absorption without a second _check_witness
         wit = membership_truncated(_restrict_vars(-q, rest_vars), jhq2, order)
-        if isinstance(wit, NotMember):
-            raise ValueError(f"g is not in the Jacobian-square ideal modulo m^{wit.order}")
-        theta = _tougeron_core(hq_sub, _witness_matrix(hq_sub, wit), order)
+        theta = tougeron(hq_sub, wit, order)
         images = [Polynomial.variable(n, i) for i in range(1, n + 1)]
         for pos, im in zip(rest_vars, theta.images):
             images[pos - 1] = _extend_vars(im.poly, n, rest_vars)

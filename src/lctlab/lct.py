@@ -150,7 +150,10 @@ class LctCertificate:
             denom = min(d * w.b + w.a, (2 * d - 2) * w.b)
             return Fraction(n * w.b + w.a, denom) == self.value
         if isinstance(w, OrbitInvariants):
-            inv = orbit_invariants(w.lam)  # re-derived, not read from w
+            try:
+                inv = orbit_invariants(w.lam)  # re-derived, not read from w
+            except ValueError:  # lam is not a partition
+                return False
             return inv.ord_fJ2 > 0 and Fraction(inv.codim, inv.ord_fJ2) == self.value
         if isinstance(w, NewtonWitness):
             a = context

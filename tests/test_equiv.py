@@ -1,5 +1,6 @@
 """Coordinate maps, morsification, and the absorption iterations."""
 
+import dataclasses
 import hashlib
 import random
 from fractions import Fraction
@@ -477,6 +478,43 @@ def test_not_member_witness_is_refused_with_its_order():
     assert isinstance(wit, NotMember)
     with pytest.raises(ValueError, match=r"m\^9"):
         formal_equiv_rank2(f, wit, 9)
+
+
+def _refused_witness(kind, f, foreign, order):
+    """A witness for g = x^4 (y^3 for the non-member) spoiled one way."""
+    jf2 = ideal_power(jacobian_ideal(f), 2)
+    if kind == "not_member":
+        return membership_truncated(P("y^3", 2), jf2, order)
+    if kind == "foreign_germ":
+        return jf2_witness(foreign, P("x^4", 2), order)
+    w = jf2_witness(f, P("x^4", 2), order)
+    if kind == "reordered":
+        gens = IdealGens(2, w.gens.gens[::-1])
+        return MembershipWitness(w.target, gens, w.coefficients[::-1], order)
+    c0 = TruncatedSeries(w.coefficients[0].poly + Polynomial.constant(2, 1), order)
+    return dataclasses.replace(w, coefficients=[c0] + w.coefficients[1:])
+
+
+_REFUSALS = {
+    "not_member": "is not in the Jacobian-square ideal",
+    "foreign_germ": "not the Jacobian-square generators",
+    "reordered": "not the Jacobian-square generators",
+    "tampered_coefficient": "does not re-expand",
+}
+
+
+@pytest.mark.parametrize("kind", list(_REFUSALS))
+@pytest.mark.parametrize(
+    "entry, f, foreign",
+    [
+        pytest.param(tougeron, "x^3 + y^3", "x^3 + y^4", id="tougeron"),
+        pytest.param(formal_equiv_rank2, "x^2 + y^3", "x^2 + y^4", id="rank2"),
+    ],
+)
+def test_spoiled_witnesses_are_refused(entry, f, foreign, kind):
+    f, foreign = P(f, 2), P(foreign, 2)
+    with pytest.raises(ValueError, match=_REFUSALS[kind]):
+        entry(f, _refused_witness(kind, f, foreign, 8), 8)
 
 
 def test_rank2_with_rank_zero_is_plain_absorption():

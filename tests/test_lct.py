@@ -403,6 +403,9 @@ def test_tampered_partition_witnesses_fail(n):
         # stored invariants of (1, 1, ...) on lam = (2, 1, ...): the check
         # re-derives them from lam instead of reading them
         dataclasses.replace(orbit_invariants((2, 1) + zeros), codim=4, ord_f=2, ord_J=1),
+        # not partitions: increasing, and a negative part
+        dataclasses.replace(cert.witness, lam=(1, 2) + zeros),
+        dataclasses.replace(cert.witness, lam=(2, -1) + zeros),
     ]
     for bad in tampered:
         assert not dataclasses.replace(cert, witness=bad).check(None), bad
