@@ -5,11 +5,17 @@ ideals and Milnor numbers, constructive formal equivalence (Morse splitting
 and Jacobian-square absorption), log canonical thresholds of monomial ideals
 and of the diagonal/determinantal families, jet and contact-locus counting
 over prime fields, and p-adic exponential sums with their decay exponents.
+
+Only jet counting (``arcs``) and exponential sums (``expsum``) use numpy.
+Their names, and the submodules themselves, are resolved on first access,
+so ``import lctlab`` and every command but ``jets``, ``expsum``, ``decay``,
+``igusa-check``, ``nk`` and ``golden`` run without loading numpy.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .arcs import CodimEstimate, count_contact_jets, empirical_codim
 from .budget import DEFAULT_BUDGET, BudgetExceededError
 from .equiv import (
     CoordinateMap,
@@ -20,17 +26,6 @@ from .equiv import (
     morsify,
     tougeron,
     verify_map,
-)
-from .expsum import (
-    ExpSumProfile,
-    IgusaReport,
-    ResidueHistogram,
-    count_solutions,
-    decay_profile,
-    exp_sum,
-    exp_sum_restricted,
-    igusa_identity_check,
-    residue_histogram,
 )
 from .jacobian import (
     IdealGens,
@@ -82,3 +77,36 @@ from .polyring import (
     substitute,
     substitute_shifted,
 )
+
+# each numpy-backed name with the submodule that defines it, imported on first access
+_LAZY = {
+    "CodimEstimate": "arcs",
+    "count_contact_jets": "arcs",
+    "empirical_codim": "arcs",
+    "ExpSumProfile": "expsum",
+    "IgusaReport": "expsum",
+    "ResidueHistogram": "expsum",
+    "count_solutions": "expsum",
+    "decay_profile": "expsum",
+    "exp_sum": "expsum",
+    "exp_sum_restricted": "expsum",
+    "igusa_identity_check": "expsum",
+    "residue_histogram": "expsum",
+}
+_LAZY_MODULES = frozenset(_LAZY.values())
+
+
+def __getattr__(name):
+    """Import ``arcs`` or ``expsum`` on the first access to one of its names
+    (or to the submodule), and keep a name's value as a module global."""
+    if name in _LAZY_MODULES:
+        return _import_module(f".{name}", __name__)
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_LAZY_MODULES})

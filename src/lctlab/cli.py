@@ -7,6 +7,10 @@ values print as reduced fractions; floats print with 12 significant digits.
 Result items carry a provenance tag: "reference" for known closed-form
 values, "derived" for values obtained through an independent oracle in this
 package, "direct" for immediate computations.
+
+The numpy-backed modules ``arcs`` and ``expsum`` are imported inside the
+handlers that count jets or residues, so every other command starts without
+numpy.
 """
 
 from __future__ import annotations
@@ -22,17 +26,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .arcs import count_contact_jets
 from .budget import BudgetExceededError, resolve_budget
 from .equiv import RankDropError, morsify, tougeron
-from .expsum import (
-    count_solutions,
-    decay_exponent,
-    decay_profile,
-    exp_sum,
-    exp_sum_restricted,
-    igusa_identity_check,
-)
 from .jacobian import (
     IdealGens,
     MembershipWitness,
@@ -273,6 +268,8 @@ def _cmd_milnor(args):
 
 
 def _cmd_jets(args):
+    from .arcs import count_contact_jets
+
     nvars = args.nvars or infer_nvars(args.ideal)
     a = parse_ideal(args.ideal, nvars)
     count = count_contact_jets(a, args.p, args.m, args.e, budget=args.budget)
@@ -290,6 +287,8 @@ def _cmd_jets(args):
 
 
 def _cmd_expsum(args):
+    from .expsum import decay_exponent, exp_sum, exp_sum_restricted
+
     nvars = args.nvars or infer_nvars(args.poly)
     f = parse_poly(args.poly, nvars)
     if args.restrict:
@@ -311,6 +310,8 @@ def _cmd_expsum(args):
 
 
 def _cmd_decay(args):
+    from .expsum import decay_profile
+
     nvars = args.nvars or infer_nvars(args.poly)
     f = parse_poly(args.poly, nvars)
     try:
@@ -328,6 +329,8 @@ def _cmd_decay(args):
 
 
 def _cmd_igusa(args):
+    from .expsum import igusa_identity_check
+
     nvars = args.nvars or infer_nvars(args.poly)
     f = parse_poly(args.poly, nvars)
     z = parse_ideal(args.z, nvars) if args.z else None
@@ -349,6 +352,8 @@ def _cmd_igusa(args):
 
 
 def _cmd_nk(args):
+    from .expsum import count_solutions
+
     nvars = args.nvars or infer_nvars(args.poly)
     f = parse_poly(args.poly, nvars)
     nk = count_solutions(f, args.p, args.k, budget=args.budget)
@@ -489,6 +494,8 @@ def emit_golden_tables(outdir: str, seed: int = DEFAULT_SEED):
     the exponential-sum table contains floats printed with 12 significant
     digits and a tolerance note.
     """
+    from .expsum import decay_profile
+
     os.makedirs(outdir, exist_ok=True)
     written = []
 

@@ -280,7 +280,8 @@ def quadratic_rank(f: Polynomial) -> int:
 
 
 class NonIsolated:
-    """Marker: the singularity looks non-isolated (heuristic cutoff)."""
+    """Marker: the singularity is non-isolated (certified when a partial
+    derivative is identically zero) or looks so (heuristic cutoff)."""
 
     def __repr__(self):
         return "NonIsolated"
@@ -315,8 +316,9 @@ def milnor_number(f: Polynomial, order_cap: int = 64):
 
     Computes the quotient dimension at increasing truncation orders and
     returns the value at the first repeat (stabilization is permanent, see
-    module docstring).  Returns :class:`NonIsolated` when the dimension keeps
-    growing past the heuristic cutoff, or :class:`Inconclusive` at the cap.
+    module docstring).  Returns :class:`NonIsolated` at once when some
+    partial derivative is identically zero, or when the dimension keeps
+    growing past the heuristic cutoff, and :class:`Inconclusive` at the cap.
     """
     if f.is_zero():
         raise ValueError("milnor_number needs a nonzero input")
@@ -324,6 +326,10 @@ def milnor_number(f: Polynomial, order_cap: int = 64):
         raise ValueError("milnor_number needs f(0) = 0")
     if f.multiplicity() < 2:
         raise ValueError("milnor_number needs a singular point (multiplicity >= 2)")
+    if any(partial_derivative(f, i).is_zero() for i in range(1, f.nvars + 1)):
+        # f does not depend on x_i, so with mult(f) >= 2 it is singular along
+        # the whole x_i-axis
+        return NonIsolated()
     deg = int(f.total_degree())
     growth_streak = 0
     prev = None

@@ -219,6 +219,17 @@ def test_milnor_non_isolated():
     assert isinstance(milnor_number(P("x^2*y^2", 2)), NonIsolated)
 
 
+@pytest.mark.parametrize("text,nvars", [("2*x^3 - 3*y^3", 3), ("x^3 + y^4", 3), ("y^2", 2)])
+def test_milnor_zero_partial_is_non_isolated_without_colengths(text, nvars, monkeypatch):
+    def refuse(f, order):
+        raise AssertionError("no colength is needed once a partial is zero")
+
+    monkeypatch.setattr(lctlab.jacobian, "_colength", refuse)
+    mu = milnor_number(P(text, nvars))
+    assert mu == NonIsolated()
+    assert repr(mu) == "NonIsolated"
+
+
 def test_milnor_preconditions():
     with pytest.raises(ValueError):
         milnor_number(Polynomial.zero(2))
