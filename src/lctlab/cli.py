@@ -94,12 +94,14 @@ KIND_FLAGS = {
 
 def _check_args(args, budget: int):
     """Usage errors: ``--m``, ``--k``, ``--mmax``, ``--e``, ``--cases``,
-    ``--order-cap`` or ``--nvars`` below 1, ``--grid`` below 2, a flag its
-    kind of ``lct`` or ``check`` does not read, or ``--p`` not prime (one
-    above the budget is left to the command to refuse, bounding the trial
-    division)."""
+    ``--order-cap`` or ``--nvars`` below 1, ``--grid`` below 2, ``--order``
+    below 2 for ``tougeron`` (mod m^1 no map is an automorphism) or below 3
+    for ``morsify`` (mod m^2 the quadratic part is 0), a flag its kind of
+    ``lct`` or ``check`` does not read, or ``--p`` not prime (one above the
+    budget is left to the command to refuse, bounding the trial division)."""
     least_values = {
         "m": 1, "k": 1, "mmax": 1, "e": 1, "cases": 1, "order_cap": 1, "grid": 2, "nvars": 1,
+        "order": {"tougeron": 2, "morsify": 3}.get(args.command),
     }
     for name, least in least_values.items():
         value = getattr(args, name, None)

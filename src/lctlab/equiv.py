@@ -26,9 +26,17 @@ expansion of the germ F along its shift g: the new germ F(x + g) is read off
 the quadratic remainder W that the transport needs anyway, and the transition
 matrix reads the same divided powers D^beta F.  Each matrix entry and each
 sum of products of a step (shifts, check, W, V, new germ) is one ``dot``, with
-no polynomial built per term.  :func:`tougeron`, the one entry into the
-absorption, reads g from its verified witness; :func:`formal_equiv_rank2` is
-:func:`morsify` of f + g followed by :func:`tougeron` on the residual germ.
+no polynomial built per term.  As in a Newton iteration, each step works at
+its own precision only, read off multiplicities the step can see: the
+witness H is kept mod m^wit_order, wit_order = N - 2 mult(J_f); W and the
+divided powers it reads are built mod m^(wit_order - 2 mult(H)), because W
+only ever meets two shifts or two copies of H; the transition inverse B and
+everything it is built from mod m^(wit_order - mult(H_mid)), because B only
+meets H_mid, and not at all once that precision is 1 (B = I there).  The
+shifts, and so every map, are the same as at full precision.  :func:`tougeron`,
+the one entry into the absorption, reads g from its verified witness;
+:func:`formal_equiv_rank2` is :func:`morsify` of f + g followed by
+:func:`tougeron` on the residual germ.
 """
 
 from __future__ import annotations
@@ -99,6 +107,10 @@ class CoordinateMap:
     __slots__ = ("nvars", "images", "order")
 
     def __init__(self, images, order: int):
+        if order < 2:
+            raise ValueError(
+                f"a coordinate map needs order >= 2, got {order}: mod m^1 every image is 0"
+            )
         images = tuple(_as_series(im, order) for im in images)
         if not images:
             raise ValueError("a map needs at least one image")
@@ -253,6 +265,10 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> Coordin
     ``g = sum_{i,l} H[i][l] * partial_i(f) * partial_l(f)``.
     The composed map is verified by substitution before being returned.
     """
+    if order < 2:
+        raise ValueError(
+            f"tougeron needs order >= 2, got {order}: mod m^1 no map is an automorphism"
+        )
     d = f.multiplicity()
     if d < 3:
         raise ValueError("tougeron needs mult(f) >= 3; use formal_equiv_rank2 for rank cases")
@@ -307,29 +323,36 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> Coordin
         top = max(live_mults)
         blocked = wit_order + 2 * top + 1  # cost that excludes a coordinate
         g_mults = [gi.multiplicity() if not gi.is_zero() else blocked for gi in gs]
-        gpow = _Powers([gi.truncate(wit_order) for gi in gs], wit_order)
-
-        @functools.cache
-        def D(beta):  # D^beta F mod m^wit_order, one divided power per exponent
-            return divided_power(F.poly, beta).truncate(wit_order)
-
         # F(x + g) = F + sum_i d_i F g_i + sum_{|alpha| >= 2} D^alpha F g^alpha.
         # W[(i1,i2)] collects D^alpha F * g^(alpha - e_i1 - e_i2) over alpha
         # whose two smallest indices are (i1, i2), so F(x + g) = F + recon +
-        # sum W * g_i1 * g_i2; every g_i has multiplicity >= jmult, so W is
-        # needed mod m^(order - 2 jmult) = m^wit_order only.
+        # sum W * g_i1 * g_i2.  With hm the least multiplicity of an entry of
+        # H, every g_i has multiplicity >= hm + jmult; W is read only through
+        # W * g_i1 * g_i2 mod m^order and H^T (-W) H mod m^wit_order, so it is
+        # needed mod m^p_W, p_W = wit_order - 2 hm, and so are the D^beta F
+        # and g^rest it reads.  D^beta F mod m^p_W reads F below
+        # m^(p_W + |beta|) only.
+        hm = min(h.multiplicity() for row in H for h in row)
+        p_W = wit_order - 2 * hm
+        gpow = _Powers([gi.truncate(p_W) for gi in gs], p_W)
+        F_below = functools.cache(lambda k: F.poly.truncate(p_W + k))
+
+        @functools.cache
+        def D(beta):  # D^beta F mod m^p_W, one divided power per exponent
+            return divided_power(F_below(sum(beta)), beta)
+
         W = {}
-        for alpha in monomials_below(g_mults, wit_order + 2 * top):
+        for alpha in monomials_below(g_mults, p_W + 2 * top):
             if sum(alpha) < 2:
                 continue
             i1, i2 = [i for i, a in enumerate(alpha) for _ in range(min(a, 2))][:2]
             rest = tuple(a - (i == i1) - (i == i2) for i, a in enumerate(alpha))
-            if sum(r * m for r, m in zip(rest, g_mults)) >= wit_order:
+            if sum(r * m for r, m in zip(rest, g_mults)) >= p_W:
                 continue
             dpf = D(alpha)
             if not dpf.is_zero():
                 W.setdefault((i1, i2), []).append((dpf, gpow.get(rest)))
-        W = {key: dot(n, pairs, wit_order) for key, pairs in W.items()}
+        W = {key: dot(n, pairs, p_W) for key, pairs in W.items()}
         quad = [(w, gs[i1].mul_truncated(gs[i2], order)) for (i1, i2), w in W.items()]
         F_new = TruncatedSeries(F.poly + recon + dot(n, quad, order), order)
         if (target - F_new).is_zero():
@@ -345,29 +368,41 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> Coordin
         # B = inverse of (I + A)(I + M), A[i][j] = d_i g_j,
         # M[u][v] = sum_w V[u][w] H[w][v],
         # V[u][w] = sum over alpha with first index w of D^alpha(d_u F) g^(alpha-e_w),
-        # where D^alpha d_u = (alpha_u + 1) D^(alpha+e_u)
-        A = [[partial_derivative(gs[j], i + 1).truncate(wit_order) for j in range(n)] for i in range(n)]
-        V = [[[] for _ in range(n)] for _ in range(n)]
-        for alpha in monomials_below(g_mults, wit_order + top)[1:]:  # alpha != 0
-            w_idx = next(i for i, a in enumerate(alpha) if a)
-            rest = tuple(a - (i == w_idx) for i, a in enumerate(alpha))
-            if sum(r * m for r, m in zip(rest, g_mults)) >= wit_order:
-                continue
-            grest = gpow.get(rest)
-            if grest.is_zero():
-                continue
-            for u in range(n):
-                dpu = D(alpha[:u] + (alpha[u] + 1,) + alpha[u + 1:])
-                if not dpu.is_zero():
-                    V[u][w_idx].append((dpu * (alpha[u] + 1) if alpha[u] else dpu, grest))
-        V = [[dot(n, pairs, wit_order) for pairs in row] for row in V]
-        M = _mat_mul(V, H, wit_order)
-        AM = _mat_mul(A, M, wit_order)
-        # E := A + M + A*M, so (I+A)(I+M) = I + E and the new witness is
-        # B^T H_mid B with B = (I + E)^-1
-        E = [[A[i][j] + M[i][j] + AM[i][j] for j in range(n)] for i in range(n)]
-        B = _newton_inverse(E, wit_order)
-        H = _mat_mul(_mat_mul(list(zip(*B)), H_mid, wit_order), B, wit_order)
+        # where D^alpha d_u = (alpha_u + 1) D^(alpha+e_u).
+        # B enters only as B^T H_mid B mod m^wit_order and B - I has
+        # multiplicity >= 1, so with mu the least multiplicity of an entry of
+        # H_mid, B and all it is built from are needed mod m^p_B,
+        # p_B = wit_order - mu; mu >= 2 hm, so p_B <= p_W and gpow and D
+        # serve V.  For p_B <= 1, B = I there and the new witness is H_mid.
+        mu = min(h.multiplicity() for row in H_mid for h in row)
+        p_B = wit_order - mu
+        if p_B <= 1:
+            H = H_mid
+        else:
+            A = [
+                [partial_derivative(gs[j], i + 1).truncate(p_B) for j in range(n)] for i in range(n)
+            ]
+            V = [[[] for _ in range(n)] for _ in range(n)]
+            for alpha in monomials_below(g_mults, p_B + top)[1:]:  # alpha != 0
+                w_idx = next(i for i, a in enumerate(alpha) if a)
+                rest = tuple(a - (i == w_idx) for i, a in enumerate(alpha))
+                if sum(r * m for r, m in zip(rest, g_mults)) >= p_B:
+                    continue
+                grest = gpow.get(rest)
+                if grest.is_zero():
+                    continue
+                for u in range(n):
+                    dpu = D(alpha[:u] + (alpha[u] + 1,) + alpha[u + 1:])
+                    if not dpu.is_zero():
+                        V[u][w_idx].append((dpu * (alpha[u] + 1) if alpha[u] else dpu, grest))
+            V = [[dot(n, pairs, p_B) for pairs in row] for row in V]
+            M = _mat_mul(V, H, p_B)
+            AM = _mat_mul(A, M, p_B)
+            # E := A + M + A*M, so (I+A)(I+M) = I + E and the new witness is
+            # B^T H_mid B with B = (I + E)^-1
+            E = [[A[i][j] + M[i][j] + AM[i][j] for j in range(n)] for i in range(n)]
+            B = _newton_inverse(E, p_B)
+            H = _mat_mul(_mat_mul(list(zip(*B)), H_mid, wit_order), B, wit_order)
         F = F_new
         a_floor = 2 * a_floor + 1
     else:
@@ -560,6 +595,8 @@ def morsify(f, order: int) -> MorsifyResult:
     ``substitute(f, map) == sum(a_i x_i^2) + residual mod m^order`` with the
     residual of multiplicity >= 3 in the variables past the rank.
     """
+    if order < 3:
+        raise ValueError(f"morsify needs order >= 3, got {order}: mod m^2 the quadratic part is 0")
     fs = _as_series(f, order)
     fp = fs.poly
     if fp.constant_term:

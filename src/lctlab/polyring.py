@@ -526,19 +526,22 @@ def divided_power(f: Polynomial, alpha) -> Polynomial:
         raise ValueError("alpha has wrong length")
     if any(a < 0 for a in alpha):
         raise ValueError("alpha entries must be non-negative")
+    # x^beta -> x^(beta - alpha) is injective and a nonzero coefficient times
+    # a nonzero binomial is nonzero: each term is written once, clean
     out = {}
     for mono, coeff in f.terms.items():
         factor = 1
         for b, a in zip(mono, alpha):
             if b < a:
-                factor = 0
                 break
             if a:
                 factor *= math.comb(b, a)
-        if factor:
-            new = tuple(b - a for b, a in zip(mono, alpha))
-            out[new] = out.get(new, 0) + coeff * factor
-    return Polynomial(f.nvars, out)
+        else:
+            c = coeff * factor
+            out[tuple(b - a for b, a in zip(mono, alpha))] = (
+                _norm_coeff(c) if type(c) is Fraction else c
+            )
+    return Polynomial._make(f.nvars, out)
 
 
 def monomials_below(weights, bound):

@@ -423,6 +423,21 @@ def test_milnor_order_cap_below_one_is_a_usage_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, least",
+    [
+        (["tougeron", "--poly", "x^3+y^3", "--g", "x^4", "--order", "1"], 2),
+        (["tougeron", "--poly", "x^3+y^3", "--g", "x^4", "--order", "0"], 2),
+        (["morsify", "--poly", "x^2+y^3", "--order", "2"], 3),
+    ],
+)
+def test_order_below_the_least_for_a_map_is_a_usage_error(capsys, argv, least):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"--order must be at least {least}" in err
+
+
 @pytest.mark.parametrize("nvars", ["0", "-1"])
 def test_nvars_below_one_is_a_usage_error(capsys, nvars):
     # --nvars 0 used to run with the inferred count and record "nvars": 0,

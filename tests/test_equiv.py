@@ -592,16 +592,59 @@ def test_rank2_map_is_pinned_at_order_8():
     assert verify_map(f + g, res.normal_form(), res.map, 8) == (True, None)
 
 
+_X3Y3_G = ("x^3 + y^3", "x^4 + x^2*y^2 + y^4 + x^5*y", 2)
+_X3Y3Z3_G = ("x^3 + y^3 + z^3", "x^4*y^2 + x^2*y^2*z^2 + 3*x^2*z^4", 3)
+_PINNED_TOUGERON = [
+    (12, "42f5ca8bc9a973d64fa7a974eb97743e2c5c207b3be68de36570b1095dddcbba", *_X3Y3_G),
+    (16, "7583928e13783e981ca03366b7277dc19fa6e60e479ce1b68da070fb8da44a16", *_X3Y3_G),
+    (24, "4cca73d2045550fb85fcc58e9b2e82c809aa1b6843ab40e99bfc9a09597a9215", *_X3Y3_G),
+    (14, "8c96bdce369d347e81200f9cf20a975900ca87807a7d416ebd945dfeed54c851", "x^3 + y^4", "x^4", 2),
+    (8, "de9f5b7dde3fea70ac06734ea8f1c48644548239a19b3ea687de832212ad0a18", *_X3Y3Z3_G),
+    (12, "018e5dc6652b300c14eded277d7b26314bef9e8639ee686bf9a82c46b8cd57cd", *_X3Y3Z3_G),
+]
+
+
 @pytest.mark.parametrize(
-    "order, digest",
-    [
-        (12, "42f5ca8bc9a973d64fa7a974eb97743e2c5c207b3be68de36570b1095dddcbba"),
-        (16, "7583928e13783e981ca03366b7277dc19fa6e60e479ce1b68da070fb8da44a16"),
-    ],
+    "order, digest, f_text, g_text, nvars",
+    _PINNED_TOUGERON,
+    ids=[f"{order}-{digest}" for order, digest, *_ in _PINNED_TOUGERON],
 )
-def test_tougeron_map_digest_is_pinned(order, digest):
-    # SHA-256 of repr(map) as the tuple-monomial product loop printed it
-    f = P("x^3 + y^3", 2)
-    g = P("x^4 + x^2*y^2 + y^4 + x^5*y", 2)
+def test_tougeron_map_digest_is_pinned(order, digest, f_text, g_text, nvars):
+    # SHA-256 of repr(map) as the tuple-monomial product loop printed it (the
+    # first two) and as the absorption printed it with every step at
+    # wit_order (the rest)
+    f = P(f_text, nvars)
+    g = P(g_text, nvars)
     psi = tougeron(f, jf2_witness(f, g, order), order)
     assert hashlib.sha256(repr(psi).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("order", [12, 16, 24])
+def test_each_transition_inverse_runs_at_its_own_precision(monkeypatch, order):
+    import lctlab.equiv as equiv
+
+    precisions = []
+    newton_inverse = equiv._newton_inverse
+
+    def recording_inverse(E, prec):
+        precisions.append(prec)
+        return newton_inverse(E, prec)
+
+    monkeypatch.setattr(equiv, "_newton_inverse", recording_inverse)
+    f, g = P(_X3Y3_G[0], 2), P(_X3Y3_G[1], 2)
+    tougeron(f, jf2_witness(f, g, order), order)
+    wit_order = order - 2 * 2  # mult(J_f) = 2
+    assert len(precisions) >= 2
+    assert all(a > b for a, b in zip(precisions, precisions[1:])), precisions
+    assert all(p < wit_order for p in precisions), precisions
+
+
+def test_orders_too_small_for_a_map_name_the_minimum():
+    with pytest.raises(ValueError, match="order >= 2"):
+        CoordinateMap.identity(2, 1)
+    f = P("x^3 + y^3", 2)
+    with pytest.raises(ValueError, match="tougeron needs order >= 2"):
+        tougeron(f, jf2_witness(f, P("x^4", 2), 1), 1)
+    with pytest.raises(ValueError, match="morsify needs order >= 3"):
+        morsify(P("x^2 + y^3", 2), 2)
+    assert morsify(P("x^2 + y^3", 2), 3).residual.is_zero()
