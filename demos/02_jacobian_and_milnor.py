@@ -41,7 +41,7 @@ print("\nD(a) for a = (x^3, y^3):", ideal_D(a))
 for text in ("x^2 + y^2", "x^2 + y^3", "x^3 + y^3", "x^4 + y^4"):
     print(f"mu({text}) =", milnor_number(parse_poly(text, 2)))
 
-# Non-isolated singular loci are flagged (heuristically) instead of looping.
+# Non-isolated singular loci are flagged, with a certificate, instead of looping.
 print("mu(x^2*y^2) =", milnor_number(parse_poly("x^2*y^2", 2)))
 
 # Quadratic rank of the degree-2 part, exact over the rationals.

@@ -5,30 +5,40 @@ list to its minimal monomials by one rule, ``_minimal_monomials``, which the
 Newton-polyhedron thresholds share.  Everything else reduces to exact linear
 algebra over the rationals on finite-dimensional truncations of the local
 ring at the origin, done by the one elimination kernel
-:class:`~lctlab.linalg.SparseEliminator` on rows made by one function,
-``_truncated_multiples``: each generator times each monomial of low enough
-degree, truncated below ``m^N``.  Rows carry the polynomials' own int or
+:class:`~lctlab.linalg.SparseEliminator` on rows x^a * g_i, a generator times
+a monomial, with columns keyed by degree first so that every pivot sits at
+its row's lowest-degree monomial.  Rows carry the polynomials' own int or
 Fraction coefficients; the kernel clears denominators once per row and
 eliminates on integers, so a germ with integer coefficients builds Fractions
 only when a witness is read back:
 
-* ``membership_truncated`` adds these rows tagged (generator, monomial),
-  asks the kernel to solve for the target, and returns the series
-  coefficients as a witness that re-expands exactly modulo ``m^N``, or a
-  definite failure at that order;
-* ``milnor_number`` computes the colength of the Jacobian ideal, the
-  monomial count minus the kernel's rank on the untagged rows of the
-  partials, by increasing the truncation order until the quotient dimension
-  stabilizes, which is permanent in the complete local ring (if no degree-N
-  monomial is independent modulo the ideal, multiplying by the maximal ideal
-  shows the same for every higher degree, and the Krull intersection theorem
-  finishes).
+* ``membership_truncated`` adds the rows of ``_truncated_multiples``, each
+  truncated below ``m^N`` and tagged (generator, monomial), asks the kernel
+  to solve for the target, and returns the series coefficients as a witness
+  that re-expands exactly modulo ``m^N``, or a definite failure at that
+  order;
+* ``milnor_number`` reads the colength of J_f + m^N, order after order, from
+  one elimination (``_colengths``).  At order N it adds, untruncated, only
+  the rows x^a * d_i f whose lowest degree |a| + mult(d_i f) is N - 1, and
+  the colength is the number of monomials of degree < N minus the number
+  of pivots of degree < N.  A pivot row's lead is its lowest monomial and
+  never changes, pivot rows with distinct leads stay independent modulo
+  m^N, and a row added later has only columns of degree >= N, which
+  reducing it cannot lower; so the pivot rows led below N, truncated there,
+  are a basis of J_f modulo m^N, and their count is final once order N is
+  read.  The first N whose colength equals that of N - 1 gives the Milnor
+  number: then m^(N-1) lies in J_f + m^N, so in J_f by Nakayama's lemma,
+  and every higher order reads the same value.  A germ whose colength
+  passes the Bezout bound, the product of the degrees of the partials, is
+  reported non-isolated with that certificate (see ``milnor_number``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
+from math import comb, prod
 from typing import Sequence
 
 from .linalg import SparseEliminator, rank_dense
@@ -169,9 +179,10 @@ def ideal_power(a: IdealGens, k: int) -> IdealGens:
 
 def _truncated_multiples(nvars: int, gens, order: int, min_degree: int = 0):
     """``(column, rows)``: ``column`` numbers the monomials of degree < order
-    in degree order, so pivot ties fall to the lowest degree, and ``rows``
-    lazily yields ``(i, a, {column: coefficient})``, x^a * g_i truncated below
-    m^order, for each nonzero g_i and min_degree <= |a| < order - mult(g_i)."""
+    in degree order, so a row's pivot, the smallest column left once it is
+    reduced, is a monomial of the lowest degree left; ``rows`` lazily yields
+    ``(i, a, {column: coefficient})``, x^a * g_i truncated below m^order,
+    for each nonzero g_i and min_degree <= |a| < order - mult(g_i)."""
     column = {m: k for k, m in enumerate(monomials_below((1,) * nvars, order))}
 
     def rows():
@@ -280,8 +291,16 @@ def quadratic_rank(f: Polynomial) -> int:
 
 
 class NonIsolated:
-    """Marker: the singularity is non-isolated (certified when a partial
-    derivative is identically zero) or looks so (heuristic cutoff)."""
+    """Marker: the singularity at the origin is not isolated.
+
+    ``certificate`` says why: ``("zero partial", i)`` when the i-th partial
+    derivative is identically zero, or ``(order, colength, bound)`` when
+    the colength of J_f + m^order exceeds ``bound``, the product of the
+    degrees of the partials (see :func:`milnor_number`).  Every
+    ``NonIsolated`` is equal to every other, whatever its certificate."""
+
+    def __init__(self, certificate=None):
+        self.certificate = certificate
 
     def __repr__(self):
         return "NonIsolated"
@@ -300,25 +319,65 @@ class Inconclusive:
     order_cap: int
 
 
+def _colengths(f: Polynomial):
+    """colength(J_f + m^N) for N = 1, 2, ..., one value per ``next``, from
+    one elimination (see the module docstring)."""
+    n = f.nvars
+    partials = [partial_derivative(f, i) for i in range(1, n + 1)]
+    partials = [(p, p.multiplicity()) for p in partials if not p.is_zero()]
+    lowest = min((m for _, m in partials), default=0)
+    column = {}  # monomial -> key with its degree in the high bits, made on first sight
+    elim = SparseEliminator()
+    pending = {}  # degree -> pivots of that degree, until the order passes it
+    below = 0  # pivots of degree < order
+    for order in count(1):
+        shifts = monomials_below((1,) * n, order - lowest)
+        for p, mult in partials:
+            d = order - 1 - mult  # the rows x^a * p of lowest degree order - 1
+            if d < 0:
+                continue
+            for a in shifts[comb(d - 1 + n, n) : comb(d + n, n)]:
+                row = {}
+                for m, c in p.terms.items():
+                    s = tuple(map(int.__add__, m, a))
+                    key = column.get(s)
+                    if key is None:
+                        key = column[s] = sum(s) << 32 | len(column)
+                    row[key] = c
+                if elim.add_row(row):
+                    degree = next(reversed(elim.pivots)) >> 32
+                    pending[degree] = pending.get(degree, 0) + 1
+        below += pending.pop(order - 1, 0)
+        yield comb(order - 1 + n, n) - below
+
+
 def _colength(f: Polynomial, order: int) -> int:
     """dim of (monomials of degree < order) modulo truncations of m-multiples
     of the partial derivatives."""
-    partials = [partial_derivative(f, i) for i in range(1, f.nvars + 1)]
-    column, rows = _truncated_multiples(f.nvars, partials, order)
-    elim = SparseEliminator()
-    for _, _, row in rows:
-        elim.add_row(row)
-    return len(column) - elim.rank
+    return next(islice(_colengths(f), order - 1, None))
 
 
 def milnor_number(f: Polynomial, order_cap: int = 64):
     """Colength of the Jacobian ideal at the origin.
 
-    Computes the quotient dimension at increasing truncation orders and
-    returns the value at the first repeat (stabilization is permanent, see
-    module docstring).  Returns :class:`NonIsolated` at once when some
-    partial derivative is identically zero, or when the dimension keeps
-    growing past the heuristic cutoff, and :class:`Inconclusive` at the cap.
+    Reads colength(J_f + m^N) for N = 2, 3, ... and returns the value at the
+    first repeat, which is permanent (see the module docstring).  Returns
+    :class:`NonIsolated` with a certificate in two cases, and
+    :class:`Inconclusive` when neither happens by ``order_cap``:
+
+    * a partial derivative d_i f is identically zero: f does not depend on
+      x_i, so with mult(f) >= 2 it is singular along the whole x_i-axis;
+    * colength(J_f + m^N) > B, the product of the degrees of the partials.
+      If the origin is isolated, the partials form a regular sequence in
+      its local ring, so mu = dim O/J_f is the intersection multiplicity
+      there of the hypersurfaces d_i f = 0 (Fulton, *Intersection Theory*,
+      Prop. 7.1).  The origin is then an irreducible component of their
+      intersection in P^n, and by the refined Bezout theorem (ibid., Thm
+      12.2(a) and section 12.3) the distinguished varieties contribute
+      nonnegative degrees that sum to the product of the degrees, so
+      mu <= B; and colength(J_f + m^N) <= mu.  A colength above B thus
+      shows that the origin is not isolated, and for a non-isolated germ
+      the colength grows without bound, so it crosses B at some order.
     """
     if f.is_zero():
         raise ValueError("milnor_number needs a nonzero input")
@@ -326,22 +385,19 @@ def milnor_number(f: Polynomial, order_cap: int = 64):
         raise ValueError("milnor_number needs f(0) = 0")
     if f.multiplicity() < 2:
         raise ValueError("milnor_number needs a singular point (multiplicity >= 2)")
-    if any(partial_derivative(f, i).is_zero() for i in range(1, f.nvars + 1)):
-        # f does not depend on x_i, so with mult(f) >= 2 it is singular along
-        # the whole x_i-axis
-        return NonIsolated()
-    deg = int(f.total_degree())
-    growth_streak = 0
+    partials = [partial_derivative(f, i) for i in range(1, f.nvars + 1)]
+    for i, p in enumerate(partials, 1):
+        if p.is_zero():
+            return NonIsolated(("zero partial", i))
+    bound = prod(p.total_degree() for p in partials)
+    colengths = _colengths(f)
+    next(colengths)  # order 1, where every colength is 1
     prev = None
-    for order in range(2, order_cap + 1):
-        cur = _colength(f, order)
-        if prev is not None:
-            if cur == prev:
-                return prev
-            if order > 2 * deg:
-                growth_streak = growth_streak + 1 if cur > prev else 0
-                if growth_streak >= 5:
-                    return NonIsolated()
+    for order, cur in zip(range(2, order_cap + 1), colengths):
+        if cur == prev:
+            return prev
+        if cur > bound:
+            return NonIsolated((order, cur, bound))
         prev = cur
     return Inconclusive(order_cap)
 

@@ -1,5 +1,6 @@
 """Ideals, membership witnesses, quadratic rank, Milnor numbers."""
 
+import math
 import os
 import random
 import subprocess
@@ -157,6 +158,148 @@ def test_membership_check_survives_optimized_mode():
     assert proc.returncode == 0
 
 
+# the J_f^2 memberships of the ``ideals`` benchmark (three members and a
+# non-member per seed) and the two monomial memberships of ``absorb``, at
+# seeds 1-3: (workload, seed, nvars, order, f, g, SHA-256 of the witness
+# coefficients' repr, or of the NotMember's).  The digests were taken while
+# pivots went to the entry of smallest bit length; a target in the span of
+# the rows that raise the rank is a unique combination of them, so the pivot
+# rule cannot move a witness.
+_PINNED_MEMBERSHIPS = [
+    (
+        "ideals", 1, 2, 10, "x*y^2 - x^2*y - x^3 - x^2*y^2 + x^3*y",
+        "4*x^3*y^2 - 4*x^4*y + x^5 - x*y^5 + 4*x^2*y^4 + 2*x^3*y^3 - 20*x^4*y^2 - x^5*y "
+        "- 2*x^6 + 4*x^2*y^5 - 14*x^3*y^4 + 22*x^5*y^2 - 4*x^6*y + x^7 - 4*x^3*y^5 "
+        "+ 12*x^4*y^4 - 9*x^5*y^3",
+        "7663c9a3cbd831e680538da5ab09472a1474352a4e9aa26328697e0ccf0efab1",
+    ),
+    (
+        "ideals", 1, 2, 10, "x*y^2 - x^2*y - x^3 - x^2*y^2 + x^3*y",
+        "-x^2 + 4*x^3*y^2 - 4*x^4*y + x^5 - x*y^5 + 4*x^2*y^4 + 2*x^3*y^3 - 20*x^4*y^2 "
+        "- x^5*y - 2*x^6 + 4*x^2*y^5 - 14*x^3*y^4 + 22*x^5*y^2 - 4*x^6*y + x^7 - 4*x^3*y^5 "
+        "+ 12*x^4*y^4 - 9*x^5*y^3",
+        "9e2aa3b865ee8040c21bd88879468720dfc654d9887bf6190d6352da0c74a999",
+    ),
+    (
+        "ideals", 1, 2, 11, "-x*y^2 + x^3 - y^4 - x*y^3 + x^4",
+        "-y^5 + 6*x^2*y^3 - 9*x^4*y - 2*y^6 + 6*x^2*y^4 + 8*x^3*y^3 - 24*x^5*y - y^7 "
+        "+ 8*x^3*y^4 - 16*x^6*y",
+        "61040723384a2bc7dedac3ee923f8044c78cdb39f9f49ebf8ff1b4acbdcdf9c5",
+    ),
+    (
+        "ideals", 1, 3, 8, "-x*y^2 + x^3 + x*y*z^2 - x^2*z^2 + x^3*y",
+        "-y^4 + 6*x^2*y^2 - 9*x^4 + 2*y^3*z^2 - 4*x*y^2*z^2 - 6*x^2*y*z^2 + 6*x^2*y^3 "
+        "+ 12*x^3*z^2 - 18*x^4*y - y^2*z^4 + 4*x*y*z^4 + 2*x*y^4*z - 4*x^2*z^4 "
+        "- 6*x^2*y^2*z^2 + 12*x^3*y*z^2 - 6*x^3*y^2*z - 9*x^4*y^2 - 3*x*y^3*z^3 "
+        "+ 4*x^2*y^2*z^3 + 3*x^3*y*z^3 - 7*x^3*y^3*z + 3*x^5*y*z + x*y^2*z^5 - 2*x^2*y*z^5 "
+        "+ 4*x^3*y^2*z^3 - 2*x^4*y*z^3 + 3*x^5*y^2*z",
+        "cf1f18fe486c272a76ddc217da12f0f0c6676c3594371cf786866acfb7ae9008",
+    ),
+    (
+        "ideals", 2, 2, 10, "x*y^2 - x^2*y - x^3 + x^2*y^2 - x^3*y",
+        "-4*x^3*y^2 + 4*x^4*y - x^5 - x*y^5 + 4*x^2*y^4 + 2*x^3*y^3 - 20*x^4*y^2 - x^5*y "
+        "- 2*x^6 - 4*x^2*y^5 + 14*x^3*y^4 - 22*x^5*y^2 + 4*x^6*y - x^7 - 4*x^3*y^5 "
+        "+ 12*x^4*y^4 - 9*x^5*y^3",
+        "c8a9347056fede1723b0a1781943716d2fb0dbbe880e8e532c3123670cf3281c",
+    ),
+    (
+        "ideals", 2, 2, 10, "x*y^2 - x^2*y - x^3 + x^2*y^2 - x^3*y",
+        "x^2 - 4*x^3*y^2 + 4*x^4*y - x^5 - x*y^5 + 4*x^2*y^4 + 2*x^3*y^3 - 20*x^4*y^2 "
+        "- x^5*y - 2*x^6 - 4*x^2*y^5 + 14*x^3*y^4 - 22*x^5*y^2 + 4*x^6*y - x^7 - 4*x^3*y^5 "
+        "+ 12*x^4*y^4 - 9*x^5*y^3",
+        "9e2aa3b865ee8040c21bd88879468720dfc654d9887bf6190d6352da0c74a999",
+    ),
+    (
+        "ideals", 2, 2, 11, "x*y^2 + x^3 + y^4 - x*y^3 - x^4",
+        "-y^5 - 6*x^2*y^3 - 9*x^4*y + 2*y^6 + 6*x^2*y^4 + 8*x^3*y^3 + 24*x^5*y - y^7 "
+        "- 8*x^3*y^4 - 16*x^6*y",
+        "61040723384a2bc7dedac3ee923f8044c78cdb39f9f49ebf8ff1b4acbdcdf9c5",
+    ),
+    (
+        "ideals", 2, 3, 8, "-x*y^2 + x^3 + x*y*z^2 + x^2*z^2 + x^3*y",
+        "y^4 - 6*x^2*y^2 + 9*x^4 - 2*y^3*z^2 - 4*x*y^2*z^2 + 6*x^2*y*z^2 - 6*x^2*y^3 "
+        "+ 12*x^3*z^2 + 18*x^4*y + y^2*z^4 + 4*x*y*z^4 - 2*x*y^4*z + 4*x^2*z^4 "
+        "+ 6*x^2*y^2*z^2 + 12*x^3*y*z^2 + 6*x^3*y^2*z + 9*x^4*y^2 + 3*x*y^3*z^3 "
+        "+ 4*x^2*y^2*z^3 - 3*x^3*y*z^3 + 7*x^3*y^3*z - 3*x^5*y*z - x*y^2*z^5 - 2*x^2*y*z^5 "
+        "- 4*x^3*y^2*z^3 - 2*x^4*y*z^3 - 3*x^5*y^2*z",
+        "d3bb235849b54aa7efc4b8014a125dfe7d49a98e40aaaef07a53a9e5cfe96d80",
+    ),
+    (
+        "ideals", 3, 2, 10, "x*y^2 + x^2*y - x^3 + x^2*y^2 + x^3*y",
+        "4*x^3*y^2 + 4*x^4*y + x^5 + x*y^5 + 4*x^2*y^4 - 2*x^3*y^3 - 4*x^4*y^2 + 17*x^5*y "
+        "+ 2*x^6 + 4*x^2*y^5 + 14*x^3*y^4 - 14*x^5*y^2 + 4*x^6*y + x^7 + 4*x^3*y^5 "
+        "+ 12*x^4*y^4 + 9*x^5*y^3",
+        "a9823e5ee5a2945303e94577112ef032be2fbd24b9e3dd85c147a0f3b3eb3e78",
+    ),
+    (
+        "ideals", 3, 2, 10, "x*y^2 + x^2*y - x^3 + x^2*y^2 + x^3*y",
+        "x^2 + 4*x^3*y^2 + 4*x^4*y + x^5 + x*y^5 + 4*x^2*y^4 - 2*x^3*y^3 - 4*x^4*y^2 "
+        "+ 17*x^5*y + 2*x^6 + 4*x^2*y^5 + 14*x^3*y^4 - 14*x^5*y^2 + 4*x^6*y + x^7 "
+        "+ 4*x^3*y^5 + 12*x^4*y^4 + 9*x^5*y^3",
+        "9e2aa3b865ee8040c21bd88879468720dfc654d9887bf6190d6352da0c74a999",
+    ),
+    (
+        "ideals", 3, 2, 11, "x*y^2 - x^3 + y^4 - x*y^3 - x^4",
+        "y^5 - 6*x^2*y^3 + 9*x^4*y - 2*y^6 + 6*x^2*y^4 - 8*x^3*y^3 + 24*x^5*y + y^7 "
+        "+ 8*x^3*y^4 + 16*x^6*y",
+        "64d485566098ca996d1fda704b65d05d72f364f7490bb7cf18fa51622bf4793d",
+    ),
+    (
+        "ideals", 3, 3, 8, "-x*y^2 - x^3 + x*y*z^2 + x^2*z^2 + x^3*y",
+        "-y^4 - 6*x^2*y^2 - 9*x^4 + 2*y^3*z^2 + 4*x*y^2*z^2 + 6*x^2*y*z^2 + 6*x^2*y^3 "
+        "+ 12*x^3*z^2 + 18*x^4*y - y^2*z^4 - 4*x*y*z^4 + 2*x*y^4*z - 4*x^2*z^4 "
+        "- 6*x^2*y^2*z^2 - 12*x^3*y*z^2 + 6*x^3*y^2*z - 9*x^4*y^2 - 3*x*y^3*z^3 "
+        "- 4*x^2*y^2*z^3 - 3*x^3*y*z^3 - 7*x^3*y^3*z - 3*x^5*y*z + x*y^2*z^5 + 2*x^2*y*z^5 "
+        "+ 4*x^3*y^2*z^3 + 2*x^4*y*z^3 + 3*x^5*y^2*z",
+        "cf1f18fe486c272a76ddc217da12f0f0c6676c3594371cf786866acfb7ae9008",
+    ),
+    (
+        "absorb", 1, 2, 12, "x^3+y^3",
+        "-9*x^2*y^2 - 9*x^4 - 9*y^5",
+        "f89ffaa16ec1fb1d3d9d7e2e526494f0a4e546226f398d4cf94848ff8ff24bc4",
+    ),
+    (
+        "absorb", 1, 2, 14, "x^3+y^4",
+        "-9*x^4 - 12*x^3*y^3 + 16*y^7",
+        "24d1475b2f45b85a0e288a6c3c7e0df859d5051702e60de917d31d842aa1e662",
+    ),
+    (
+        "absorb", 2, 2, 12, "x^3+y^3",
+        "-9*x^2*y^2 - 9*x^4 + 9*y^5",
+        "5faa9be26790bc21f1fcab232ceae332011c2d2c5f8852308b4a6837b0c8c1e0",
+    ),
+    (
+        "absorb", 2, 2, 14, "x^3+y^4",
+        "9*x^4 + 12*x^3*y^3 - 16*y^7",
+        "e592370d2aa2b0842fc0494adb916a6f7e40f5f77f93c09483a4fb48f5d6c511",
+    ),
+    (
+        "absorb", 3, 2, 12, "x^3+y^3",
+        "-9*x^2*y^2 - 9*x^4 + 9*y^5",
+        "5faa9be26790bc21f1fcab232ceae332011c2d2c5f8852308b4a6837b0c8c1e0",
+    ),
+    (
+        "absorb", 3, 2, 14, "x^3+y^4",
+        "9*x^4 - 12*x^3*y^3 + 16*y^7",
+        "79a797682fc25b37c542c6d5cf25797e26c0951dfe36b6a036b0b6ea6ef76409",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "workload, seed, n, order, f_text, g_text, digest",
+    _PINNED_MEMBERSHIPS,
+    ids=[f"{w}-seed{seed}-{k}" for k, (w, seed, *_) in enumerate(_PINNED_MEMBERSHIPS)],
+)
+def test_membership_witness_digest_is_pinned(workload, seed, n, order, f_text, g_text, digest):
+    import hashlib
+
+    jf2 = ideal_power(jacobian_ideal(P(f_text, n)), 2)
+    got = membership_truncated(P(g_text, n), jf2, order)
+    text = repr(got) if isinstance(got, NotMember) else repr(got.coefficients)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_jacobian_stability_under_square_perturbation():
     # each partial of f+g is in J_f at truncated order, and conversely
     f = P("x^3 + y^3 + x^2*y", 2)
@@ -248,6 +391,109 @@ def test_milnor_inequality_reports():
     rep = check_milnor_inequality(f3, Fraction(3, 4))
     assert rep.value == Fraction(729, 64) and rep.bound == Fraction(27, 8)
     assert rep.holds
+
+
+def _brieskorn_pham_grid():
+    """x1^a1 + ... + xn^an with seeded unit coefficients, mu = prod(a_i - 1):
+    a seeded draw of exponents <= 14 in two variables, <= 10 in three and
+    <= 6 in four, and four germs whose colength keeps growing for more than
+    five orders past twice their degree before it stabilises."""
+    rng = random.Random(2121)
+    exps = [
+        tuple(rng.randint(2, top) for _ in range(n))
+        for n, top in ((2, 14), (3, 10), (4, 6))
+        for _ in range(4)
+    ]
+    exps += [(10, 10, 10), (6, 6, 6, 6), (7, 7, 7, 7), (5, 5, 5, 5, 5)]
+    grid = []
+    for a in exps:
+        n = len(a)
+        terms = {}
+        for i, e in enumerate(a):
+            mono = tuple(e if k == i else 0 for k in range(n))
+            terms[mono] = rng.choice((-3, -1, 1, 2, Fraction(1, 2)))
+        grid.append((a, Polynomial(n, terms)))
+    return grid
+
+
+_BP_GRID = _brieskorn_pham_grid()
+
+
+@pytest.mark.parametrize("a, f", _BP_GRID, ids=["-".join(map(str, a)) for a, _ in _BP_GRID])
+def test_milnor_brieskorn_pham_grid(a, f):
+    assert milnor_number(f) == math.prod(e - 1 for e in a)
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("x^2*y^2", 2),
+        ("x^2*y^2 + z^2", 3),
+        ("x*y*z", 3),
+        ("(x^2 - y^3)^2", 2),
+        ("(x^2 - y^3)^2 + z^2", 3),
+        ("x^2*y^2 + z^20", 3),
+        ("x^3 + y^4", 3),
+    ],
+)
+def test_non_isolated_germs_carry_a_certificate_that_rechecks(text, n):
+    from lctlab.jacobian import _colength
+    from lctlab.polyring import partial_derivative
+
+    f = P(text, n)
+    mu = milnor_number(f)
+    assert isinstance(mu, NonIsolated)
+    partials = [partial_derivative(f, i) for i in range(1, n + 1)]
+    if mu.certificate[0] == "zero partial":
+        assert partials[mu.certificate[1] - 1].is_zero()
+        return
+    order, colength, bound = mu.certificate
+    assert bound == math.prod(p.total_degree() for p in partials)
+    assert colength > bound
+    assert _colength(f, order) == colength == _colength_oracle(f, order)
+
+
+def test_isolated_germs_stay_within_the_bezout_bound():
+    # colength(J_f + m^N) <= mu <= prod deg(d_i f) on isolated germs, which
+    # is what lets a colength above the bound certify a non-isolated one
+    from lctlab.jacobian import _colength
+    from lctlab.polyring import partial_derivative
+
+    germs = [P(text, n) for text, n in IDEALS_GERMS[:-1]] + [f for _, f in _BP_GRID[:12]]
+    germs.append(P("x^5 + y^5 + z^5 + x^2*y^2*z", 3))
+    for f in germs:
+        n = f.nvars
+        bound = math.prod(partial_derivative(f, i).total_degree() for i in range(1, n + 1))
+        mu = milnor_number(f)
+        assert isinstance(mu, int) and mu <= bound
+        assert _colength(f, 2 * f.total_degree()) <= mu
+
+
+def test_milnor_offers_every_row_once(monkeypatch):
+    # one elimination across orders: the rows offered up to the order that
+    # returned are those of one truncation at that order, each once
+    import lctlab.jacobian as J
+    from lctlab.polyring import partial_derivative
+
+    f = P("x^5 + y^5 + z^5 + x^2*y^2*z", 3)
+    last = next(N for N in range(3, 64) if J._colength(f, N) == J._colength(f, N - 1))
+    partials = [partial_derivative(f, i) for i in range(1, 4)]
+    _, rows = J._truncated_multiples(3, partials, last)
+    want = sum(1 for _ in rows)
+    offered = []
+    add_row = J.SparseEliminator.add_row
+
+    def counting(self, row, tag=None):
+        offered.append(row)
+        return add_row(self, row, tag)
+
+    monkeypatch.setattr(J.SparseEliminator, "add_row", counting)
+    assert milnor_number(f) == 64
+    assert len(offered) == want
+
+
+def test_milnor_inconclusive_at_the_cap():
+    assert milnor_number(P("x^10 + y^10 + z^10", 3), order_cap=12) == Inconclusive(12)
 
 
 # ---------------------------------------------------------------- one row source, one pruning rule

@@ -359,6 +359,23 @@ def test_integer_kernel_agrees_with_fraction_kernel(big):
     assert 0 < pinned < 300
 
 
+@pytest.mark.parametrize("big", [False, True])
+def test_every_pivot_row_leads_with_its_smallest_column_for_good(big):
+    # milnor_number counts pivots by degree below each order, which needs
+    # every stored row's key to be its smallest column and the row never to
+    # change after it is stored
+    rng = random.Random(43 + big)
+    for _ in range(300):
+        rows, _ = random_tagged_system(rng, big)
+        elim = SparseEliminator()
+        stored = {}
+        for k, row in enumerate(rows):
+            elim.add_row(row, tag=k if k % 2 else None)
+            for col, piv in elim.pivots.items():
+                assert col == min(piv), rows
+                assert stored.setdefault(col, dict(piv)) == piv, rows
+
+
 def _membership_corpus():
     """Truncated memberships of the Jacobian-ideal tests, plus germs with
     rational coefficients."""
