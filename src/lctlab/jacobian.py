@@ -97,9 +97,18 @@ def _mono_divides(a, b) -> bool:
 
 def _minimal_monomials(exponents):
     """The exponent vectors no other one divides, each once, in first-seen
-    order: the minimal generators of the monomial ideal they generate."""
+    order: the minimal generators of the monomial ideal they generate.
+
+    A vector is divided only by distinct vectors of lower degree, and then by
+    a minimal one among them, so walking by degree each one is tested only
+    against the minimal vectors kept so far."""
     distinct = list(dict.fromkeys(exponents))
-    return [m for m in distinct if not any(o != m and _mono_divides(o, m) for o in distinct)]
+    kept = []
+    for m in sorted(distinct, key=sum):
+        if not any(_mono_divides(o, m) for o in kept):
+            kept.append(m)
+    minimal = set(kept)
+    return [m for m in distinct if m in minimal]
 
 
 def _ideal(nvars: int, gens) -> IdealGens:

@@ -5,12 +5,13 @@ Three independent computations live here:
 * :func:`newton_lct`: the threshold of a monomial ideal from its Newton
   polyhedron, by Howald's linear program
   lct(a) = min { sum(w) : w >= 0, <w, v_j> >= 1 for every generator v_j },
-  solved exactly by visiting every vertex of that polyhedron (each one an
+  solved exactly by walking the candidate bases in a fixed order and stopping
+  at the first that is primal and dual feasible, hence optimal (each basis an
   n x n integer system solved by :class:`~lctlab.linalg.SparseEliminator`
-  to integer numerators over one denominator, so vertices are compared by
-  cross-multiplication and a ``Fraction`` is built only for the value and
-  the dual multipliers) and returned with a primal-dual certificate that is
-  checked before the value leaves the function (:func:`newton_lct_certificate`);
+  to integer numerators over one denominator, a ``Fraction`` built only for
+  the value and the dual multipliers), and returned with that primal-dual
+  certificate, checked before the value leaves the function
+  (:func:`newton_lct_certificate`);
 
 * :func:`lct_diag_fJ2` and :func:`lct_det_fJ2`: closed-form thresholds of
   the ideal (f) + J_f^2 for the diagonal family x_1^d + ... + x_n^d and for
@@ -170,7 +171,7 @@ class LctCertificate:
 
 
 # ----------------------------------------------------------------------
-# Newton polyhedron: vertex enumeration with a primal-dual certificate
+# Newton polyhedron: a walk over the bases, stopped by a primal-dual certificate
 
 
 def _monomial_exponents(a: IdealGens):
@@ -202,13 +203,23 @@ def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
     minimum sits at a vertex.  Only minimal generators are kept (a divided
     generator gives a redundant constraint for w >= 0); with m of them, each
     n-subset S of the m generator rows and n coordinate rows e_i is a
-    candidate basis: S is skipped when all its rows are coordinate rows or
-    the kernel's rank shows A_S singular, otherwise A_S w = b_S is solved and
-    w kept when feasible.  Every basis reaching the minimum is kept, since a
-    degenerate vertex can have bases with negative duals; among them is an
-    optimal basis whose dual solution is non-negative, and that dual gives
-    the lower bound.  The C(m + n, n) bases are checked against ``budget``
-    before the enumeration starts.
+    candidate basis, skipped when all its rows are coordinate rows or the
+    kernel's rank shows A_S singular.  The bases are walked in
+    ``combinations`` order and the first one that is primal and dual
+    feasible is returned: A_S (p / q) = b_S with p >= 0 and <p, v_j> >= q for
+    every generator, and A_S^T (lam / den) = (1, ..., 1) with lam >= 0 and
+    sum(lam_j v_j) <= den on every coordinate.
+
+    Such a basis is optimal.  p vanishes on the coordinate rows of S and
+    each generator row of S is tight, so sum(p) / q = sum_i (p_i / q)
+    sum_j (lam_j / den) v_j[i] = sum_j (lam_j / den) <p / q, v_j> =
+    sum(lam) / den (complementary slackness), and by weak duality no
+    feasible w has sum(w) below sum(lam) / den.  Conversely an optimal basis
+    is primal feasible, so in this order the first primal and dual feasible
+    basis is the first optimal basis that passes the dual test: a degenerate
+    vertex can have optimal bases with negative duals, which are passed
+    over.  The C(m + n, n) bases are checked against ``budget`` before the
+    walk starts.
     """
     exps = _monomial_exponents(a)
     if any(sum(e) == 0 for e in exps):
@@ -219,8 +230,6 @@ def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
     check_budget(
         comb(m + n, n), budget, what="Newton-polyhedron vertex enumeration", unit="candidate bases"
     )
-    best = None  # (sum(p), q) of the best vertex p / q so far
-    optimal = []  # (rows, free, p) of every basis whose vertex reaches ``best``
     for basis in combinations(range(m + n), n):
         rows = [k for k in basis if k < m]
         if not rows:
@@ -234,19 +243,8 @@ def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
             continue
         w, q = got
         p = tuple(w.get(i, 0) for i in range(n))
-        if min(p) < 0:
+        if min(p) < 0 or any(sum(x * y for x, y in zip(p, v)) < q for v in gens):
             continue
-        total = sum(p)
-        # sum(p) / q against best[0] / best[1], both denominators positive
-        diff = 0 if best is None else total * best[1] - best[0] * q
-        if diff > 0:
-            continue
-        if any(sum(x * y for x, y in zip(p, v)) < q for v in gens):
-            continue
-        if best is None or diff < 0:
-            best, optimal = (total, q), []
-        optimal.append((rows, free, p))
-    for rows, free, p in optimal:
         # A_S^T (lam / den) = (1, ..., 1): multipliers on the generator rows
         # of S, and slacks 1 - sum(lambda_j v_j)_i on its coordinate rows
         lam, den = _solve_square({j: {i: gens[j][i] for i in free if gens[j][i]} for j in rows},
@@ -262,8 +260,8 @@ def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
         )
         break
     else:
-        raise AssertionError("no optimal basis of the Newton polyhedron is dual feasible")
-    cert = LctCertificate(value=Fraction(*best), witness=witness)
+        raise AssertionError("no basis of the Newton polyhedron is primal and dual feasible")
+    cert = LctCertificate(value=Fraction(sum(p), q), witness=witness)
     if not cert.check(a):
         raise AssertionError("Newton-polyhedron certificate failed its check")
     return cert

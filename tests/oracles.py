@@ -9,6 +9,11 @@ library computes, by a method other than the one it checks:
   visits no vertex, so it is independent of :func:`~lctlab.lct.newton_lct`'s
   vertex solves and of the certificate that checks them.
 
+* :func:`minimal_monomials_quadratic` keeps a distinct exponent vector when
+  no other distinct one divides it, testing every pair.
+  :func:`~lctlab.jacobian._minimal_monomials` walks the vectors by degree and
+  tests each one only against the minimal ones kept so far.
+
 * :func:`lct_diag_bruteforce` minimizes over the integer rays (a, b) of a
   bounded box directly.  It does not use the breakpoint argument by which
   :func:`~lctlab.lct.lct_diag_fJ2` reduces the minimum to two endpoints.
@@ -35,7 +40,7 @@ from math import gcd
 
 from lctlab.arcs import _poly_eval_jet
 from lctlab.equiv import CoordinateMap
-from lctlab.jacobian import IdealGens
+from lctlab.jacobian import IdealGens, _mono_divides
 from lctlab.lct import RayValuation
 from lctlab.linalg import solve_dense
 from lctlab.polyring import Polynomial, dot, substitute
@@ -67,6 +72,13 @@ def newton_lct_witness_ray(a: IdealGens, weight_bound: int):
             best = val
             best_ray = ray
     return best, best_ray
+
+
+def minimal_monomials_quadratic(exponents):
+    """The exponent vectors no other one divides, each once, in first-seen
+    order: the minimal generators of the monomial ideal they generate."""
+    distinct = list(dict.fromkeys(exponents))
+    return [m for m in distinct if not any(o != m and _mono_divides(o, m) for o in distinct)]
 
 
 def lct_diag_bruteforce(n: int, d: int, bound: int = 50) -> Fraction:

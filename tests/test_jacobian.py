@@ -364,10 +364,10 @@ def test_milnor_non_isolated():
 
 @pytest.mark.parametrize("text,nvars", [("2*x^3 - 3*y^3", 3), ("x^3 + y^4", 3), ("y^2", 2)])
 def test_milnor_zero_partial_is_non_isolated_without_colengths(text, nvars, monkeypatch):
-    def refuse(f, order):
+    def refuse(f):
         raise AssertionError("no colength is needed once a partial is zero")
 
-    monkeypatch.setattr(lctlab.jacobian, "_colength", refuse)
+    monkeypatch.setattr(lctlab.jacobian, "_colengths", refuse)
     mu = milnor_number(P(text, nvars))
     assert mu == NonIsolated()
     assert repr(mu) == "NonIsolated"
@@ -650,6 +650,26 @@ def test_ideal_keeps_non_monomial_lists_and_refuses_all_zero_ones():
     assert _ideal(2, gens).gens == tuple(gens)
     with pytest.raises(ValueError):
         _ideal(2, [Polynomial.zero(2)])
+
+
+def test_minimal_monomials_agree_with_the_quadratic_rule():
+    from lctlab.jacobian import _minimal_monomials
+    from oracles import minimal_monomials_quadratic
+
+    rng = random.Random(2323)
+    seen_repeat = seen_divisible = False
+    for _ in range(400):
+        n = rng.randint(1, 4)
+        exps = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 12))]
+        base = rng.choice(exps)
+        exps.append(tuple(x + rng.randint(0, 2) for x in base))  # divisible by base
+        exps += rng.sample(exps, k=min(3, len(exps)))  # repeats
+        rng.shuffle(exps)
+        want = minimal_monomials_quadratic(exps)
+        assert _minimal_monomials(exps) == want, exps
+        seen_repeat |= len(set(exps)) < len(exps)
+        seen_divisible |= len(want) < len(set(exps))
+    assert seen_repeat and seen_divisible
 
 
 def test_minimal_monomials_match_the_threshold_filter():

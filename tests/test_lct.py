@@ -332,6 +332,48 @@ def test_integer_vertex_solves_agree_with_the_fraction_path():
         assert all(type(c) is Fraction for _, c in cert.witness.lam)
 
 
+def test_one_pass_agrees_with_the_two_pass_walk_in_four_variables():
+    rng = random.Random(2304)
+    for r in range(1, 7):
+        for _ in range(5):
+            a = random_monomial_ideal(rng, 4, r, 4)
+            cert = newton_lct_certificate(a)
+            value, witness = fraction_vertex_certificate(a)
+            assert cert.value == value and cert.witness == witness, str(a)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_one_pass_agrees_with_the_two_pass_walk_on_powers_of_the_maximal_ideal(n):
+    # the optimal vertex (1/d, ..., 1/d) lies on every generator's hyperplane
+    m = IdealGens(n, [Polynomial.variable(n, i) for i in range(1, n + 1)])
+    for d in range(1, 6):
+        a = ideal_power(m, d)
+        cert = newton_lct_certificate(a)
+        value, witness = fraction_vertex_certificate(a)
+        assert cert.value == value == Fraction(n, d)
+        assert cert.witness == witness, (n, d)
+
+
+def test_one_pass_stops_at_the_first_certified_basis(monkeypatch):
+    solve = lctlab.lct._solve_square
+    calls = []
+
+    def counted(columns, target):
+        calls.append(1)
+        return solve(columns, target)
+
+    monkeypatch.setattr(lctlab.lct, "_solve_square", counted)
+    xyz = IdealGens(3, [Polynomial.variable(3, i) for i in range(1, 4)])
+    cases = [
+        (ideal_power(xyz, 4), Fraction(3, 4), 17),  # 822 solves when every basis is visited
+        (ideal(3, *FOUND_IDEAL.split(",")), Fraction(11, 18), 5),  # 57 when every basis is visited
+    ]
+    for a, value, most in cases:
+        calls.clear()
+        assert newton_lct_certificate(a).value == value
+        assert len(calls) <= most, (str(a), len(calls))
+
+
 # ---------------------------------------------------------------- diagonal family
 
 
