@@ -28,7 +28,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .budget import check_budget
-from .expsum import _eval_terms_mod, _int_terms, _residue_grids, _vanishing
+from .expsum import _eval_terms_mod, _int_terms, _require_prime, _residue_grids, _vanishing
 from .jacobian import IdealGens
 from .polyring import Polynomial, partial_derivative
 
@@ -94,14 +94,16 @@ def count_contact_jets(
     recurses over t-degree levels (see module docstring): level 0 keeps the
     zeros of the generators mod p, a zero where their Jacobian has full row
     rank is counted in closed form, and elsewhere each constrained level
-    descends only into the solutions of a linear system over F_p.  The
-    budget guards the volume p^((m+1)n) of the jet space.
+    descends only into the solutions of a linear system over F_p, so p
+    must be prime.  The budget guards the volume p^((m+1)n) of the jet
+    space.
     """
     n = gens.nvars
     if e < 0 or e > m + 1:
         raise ValueError("need 0 <= e <= m + 1")
     terms = [_int_terms(g) for g in gens.gens]  # a Fraction is refused ahead of the budget
     check_budget(p ** ((m + 1) * n), budget, what="jet enumeration", unit="jets")
+    _require_prime(p)
     if e == 0:
         return p ** ((m + 1) * n)
 
@@ -189,9 +191,10 @@ def empirical_codim(data, nvars: int, m: int) -> CodimEstimate:
     """Estimate the codimension of a contact locus from counts at several
     primes: density(p) ~ C * p^(-codim) to leading order.
 
-    data: list of (p, count) at fixed (m, e).  Needs at least two distinct
-    primes: with one, the least-squares slope is undetermined.
+    data: an iterable of (p, count) at fixed (m, e).  Needs at least two
+    distinct primes: with one, the least-squares slope is undetermined.
     """
+    data = list(data)  # read twice below, so a generator is materialised once
     if len({p for p, _ in data}) < 2:
         raise ValueError("needs at least two distinct primes")
     pts = []
@@ -210,4 +213,4 @@ def empirical_codim(data, nvars: int, m: int) -> CodimEstimate:
     slope = (k * sxy - sx * sy) / denom
     intercept = (sy - slope * sx) / k
     residual = max(abs(y - (slope * x + intercept)) for x, y in pts)
-    return CodimEstimate(estimate=slope, residual=residual, points=data if isinstance(data, list) else list(data))
+    return CodimEstimate(estimate=slope, residual=residual, points=data)

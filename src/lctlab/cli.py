@@ -92,13 +92,13 @@ KIND_FLAGS = {
 }
 
 
-def _check_args(args, budget: int):
+def _check_args(args):
     """Usage errors: ``--m``, ``--k``, ``--mmax``, ``--e``, ``--cases``,
     ``--order-cap`` or ``--nvars`` below 1, ``--grid`` below 2, ``--order``
     below 2 for ``tougeron`` (mod m^1 no map is an automorphism) or below 3
-    for ``morsify`` (mod m^2 the quadratic part is 0), a flag its kind of
-    ``lct`` or ``check`` does not read, or ``--p`` not prime (one above the
-    budget is left to the command to refuse, bounding the trial division)."""
+    for ``morsify`` (mod m^2 the quadratic part is 0), or a flag its kind
+    of ``lct`` or ``check`` does not read.  The library refuses a ``--p``
+    that is not prime, after its budget check."""
     least_values = {
         "m": 1, "k": 1, "mmax": 1, "e": 1, "cases": 1, "order_cap": 1, "grid": 2, "nvars": 1,
         "order": {"tougeron": 2, "morsify": 3}.get(args.command),
@@ -113,11 +113,6 @@ def _check_args(args, budget: int):
         for name in dict.fromkeys(flag for flags in kinds.values() for flag in flags):
             if getattr(args, name) is not None and name not in kinds[kind]:
                 raise ValueError(f"--{name} does not apply to {args.command} {kind}")
-    p = getattr(args, "p", None)
-    if p is None or p > budget:
-        return
-    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-        raise ValueError(f"--p must be a prime, got {p}")
 
 
 def _fmt(value):
@@ -403,7 +398,7 @@ def _cmd_check(args):
         rows = []
         ok = True
         for text, nvars in entries:
-            rep = check_corD(parse_ideal(text, nvars))
+            rep = check_corD(parse_ideal(text, nvars), budget=args.budget)
             rows.append(
                 {
                     "ideal": rep.ideal,
@@ -728,7 +723,7 @@ def _run(argv) -> int:
             config.setdefault("budget", resolve_budget(args.budget))
             if config["budget"] <= 0:
                 raise ValueError("budget must be positive")
-            _check_args(args, config["budget"])
+            _check_args(args)
             results = args.func(args)
         except BudgetExceededError as exc:
             print(f"budget exceeded: {exc}", file=sys.stderr)

@@ -506,10 +506,11 @@ def _diagonalize_quadratic(S):
 
 
 def _split_by_variable(poly: Polynomial, k: int):
-    """Write poly = x_k^2 * a + x_k * b + h by the exponent of x_k (1-indexed)."""
+    """(a, b) with poly = x_k^2 * a + x_k * b + (terms free of x_k), by the
+    exponent of x_k (1-indexed); b is free of x_k."""
     n = poly.nvars
     i = k - 1
-    a, b, h = {}, {}, {}
+    a, b = {}, {}
     for mono, coeff in poly.terms.items():
         e = mono[i]
         if e >= 2:
@@ -521,37 +522,37 @@ def _split_by_variable(poly: Polynomial, k: int):
             m = list(mono)
             m[i] = 0
             b[tuple(m)] = coeff
-        else:
-            h[mono] = coeff
-    return Polynomial(n, a), Polynomial(n, b), Polynomial(n, h)
+    return Polynomial(n, a), Polynomial(n, b)
 
 
 def _morsify_variable(F: TruncatedSeries, k: int, order: int):
     """Clean variable k of a germ whose processed part is already diagonal.
 
-    Returns (composed map, new F, diagonal coefficient a_k).  The b-part is
-    absorbed by completing the square (its multiplicity strictly increases
-    each pass, so the loop terminates) and the x_k-dependence of the leading
-    coefficient is removed by a unit rescaling of x_k.
+    Returns (the map x_k -> x_k + S, new F, diagonal coefficient a_k).  The
+    b-part is absorbed by completing the square (its multiplicity strictly
+    increases each pass, so the loop terminates) and the x_k-dependence of
+    the leading coefficient is removed by a unit rescaling of x_k.  Every
+    square-completing shift -b/(2 a_k) is free of x_k, so composing them is
+    adding them to the running shift S, and the closing rescaling
+    x_k -> x_k * q composes with it as x_k + (S + x_k (q - 1)).
     """
     n = F.nvars
     quad = F.poly.graded_part(2)
-    cmap = CoordinateMap.identity(n, order)
-    a, b, _h = _split_by_variable(F.poly, k)
+    shifts = [Polynomial.zero(n)] * n
+    S = Polynomial.zero(n)
+    a, b = _split_by_variable(F.poly, k)
     a_k = a.constant_term
     if not a_k:
         raise ValueError(f"no x{k}^2 term; diagonalize the quadratic part first")
     guard = 0
     while not b.truncate(order - 1).is_zero():
         prev_mult = b.multiplicity()
-        shifts = [Polynomial.zero(n) for _ in range(n)]
         shifts[k - 1] = b * (Fraction(-1, 2) / Fraction(a_k))
-        step = CoordinateMap.shift(shifts, order)
         F = substitute_shifted(F.poly, shifts, order)
-        cmap = cmap.then(step)
+        S = S + shifts[k - 1]
         if F.poly.graded_part(2) != quad:
             raise AssertionError("completing the square disturbed the quadratic part")
-        a, b, _h = _split_by_variable(F.poly, k)
+        a, b = _split_by_variable(F.poly, k)
         if not b.truncate(order - 1).is_zero() and not b.multiplicity() > prev_mult:
             raise AssertionError("b-part multiplicity failed to increase")
         guard += 1
@@ -572,17 +573,16 @@ def _morsify_variable(F: TruncatedSeries, k: int, order: int):
             if q_new == q:
                 break
             q = q_new
-        shifts = [Polynomial.zero(n)] * n
         shifts[k - 1] = Polynomial.variable(n, k).mul_truncated(
             q - Polynomial.constant(n, 1), order
         )
-        step = CoordinateMap.shift(shifts, order)
         F = substitute_shifted(F.poly, shifts, order)
-        cmap = cmap.then(step)
-        a, b, _h = _split_by_variable(F.poly, k)
+        S = S + shifts[k - 1]
+        a, b = _split_by_variable(F.poly, k)
         if a != Polynomial.constant(n, a_k) or not b.truncate(order - 1).is_zero():
             raise AssertionError("unit rescaling failed to normalize the block")
-    return cmap, F, a_k
+    shifts[k - 1] = S
+    return CoordinateMap.shift(shifts, order), F, a_k
 
 
 def morsify(f, order: int) -> MorsifyResult:

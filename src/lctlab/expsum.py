@@ -198,10 +198,22 @@ def _tube_counts(f: Polynomial, p, m, mask_fn=None, level=1):
     return counts
 
 
+def _require_prime(p):
+    """Refuse a p that is not prime: Hensel lifting and the linear algebra
+    mod p need the field Z/p.  Called after the budget check, which bounds
+    p and so the trial division."""
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime, got {p}")
+
+
 def _check_volume(p, m, n, budget):
-    """Refuse a census of (Z/p^m)^n over the budget or past int64 counts."""
+    """Refuse a census of (Z/p^m)^n at a level m below 1, over the budget,
+    for a p that is not prime, or past int64 counts."""
+    if m < 1:
+        raise ValueError(f"the level m must be at least 1, got {m}")
     volume = p ** (m * n)
     check_budget(volume, budget, what="residue enumeration", unit="points")
+    _require_prime(p)
     if volume > _INT64_MAX:
         raise ValueError(f"{volume} points overflow the int64 histogram counts")
 
@@ -343,6 +355,8 @@ def igusa_identity_check(
     if m < 2:
         raise ValueError("identity checks need m >= 2")
     _require_nonconstant(f, "igusa_identity_check")
+    if z_gens is not None and z_gens.nvars != f.nvars:
+        raise ValueError("restriction nvars mismatch")
     n = f.nvars
     modulus = p**m
     _check_volume(p, m, n, budget)

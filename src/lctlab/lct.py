@@ -610,13 +610,14 @@ class CorDReport:
     note: str = ""
 
 
-def check_corD(a: IdealGens) -> CorDReport:
+def check_corD(a: IdealGens, budget=None) -> CorDReport:
     """Check lct(a + D(a)^2) == lct(a) for a monomial ideal with lct < 1.
 
     Ideals with lct >= 1 fall outside the hypothesis and are skipped with a
-    notice rather than failed.
+    notice rather than failed.  ``budget`` bounds each of the two Newton
+    walks (see :func:`newton_lct_certificate`).
     """
-    base = newton_lct(a)
+    base = newton_lct(a, budget)
     if base == math.inf or base >= 1:
         return CorDReport(
             ideal=str(a),
@@ -627,7 +628,7 @@ def check_corD(a: IdealGens) -> CorDReport:
             note="hypothesis lct < 1 not met; skipped",
         )
     closure = ideal_sum(a, ideal_power(ideal_D(a), 2))
-    val = newton_lct(closure)
+    val = newton_lct(closure, budget)
     return CorDReport(
         ideal=str(a),
         lct_a=base,

@@ -239,9 +239,9 @@ class Polynomial:
 
     def _packed(self, codec):
         """(base, denominator, rows (degree, key, int numerator) of the terms
-        of degree < base, sorted, largest degree of a term) for :func:`dot`,
-        through the ``(base, encode, decode)`` tables of :func:`_codec`; the
-        packing for the last base asked for is kept."""
+        of degree < base, sorted) for :func:`dot`, through the
+        ``(base, encode, decode)`` tables of :func:`_codec`; the packing for
+        the last base asked for is kept."""
         pack = self._pack
         base = codec[0]
         if pack is None or pack[0] != base:
@@ -250,13 +250,12 @@ class Polynomial:
             for c in self.terms.values():
                 if type(c) is not int:
                     den = math.lcm(den, c.denominator)
-            rows, top = [], -1
+            rows = []
             for m, c in self.terms.items():
                 dk = enc.get(m)
                 if dk is None:
                     d = sum(m)
                     if d >= base:  # exponents this large do not fit a key
-                        top = max(top, d)
                         continue
                     k = 0
                     for e in m:
@@ -266,9 +265,7 @@ class Polynomial:
                 d, k = dk
                 rows.append((d, k, c if den == 1 else c.numerator * (den // c.denominator)))
             rows.sort()
-            if rows and rows[-1][0] > top:
-                top = rows[-1][0]
-            pack = self._pack = (base, den, rows, top)
+            pack = self._pack = (base, den, rows)
         return pack
 
     def __pow__(self, exponent: int):
@@ -346,19 +343,16 @@ def dot(nvars: int, pairs, order=None) -> Polynomial:
     by degree so the cut ends each inner loop); all products go into one
     int accumulator over the lcm of the pair denominators, and keys and
     exponent tuples are translated through one memoized codec per base."""
-    codec = _codec(_KEY_BASE, nvars)
+    cut = order
     if order is None:
         pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-        cut = 1 + max([a._packed(codec)[3] + b._packed(codec)[3] for a, b in pairs], default=0)
-    else:
-        cut = order
-    if cut > _KEY_BASE:
-        codec = _codec(1 << (cut - 1).bit_length(), nvars)
+        cut = 1 + max([a.total_degree() + b.total_degree() for a, b in pairs], default=0)
+    codec = _codec(_KEY_BASE if cut <= _KEY_BASE else 1 << (cut - 1).bit_length(), nvars)
     base, enc, dec = codec
     packs, den = [], 1
     for a, b in pairs:
-        _, da, rowa, _ = a._packed(codec)
-        _, db, rowb, _ = b._packed(codec)
+        _, da, rowa = a._packed(codec)
+        _, db, rowb = b._packed(codec)
         if not rowa or not rowb or rowa[0][0] + rowb[0][0] >= cut:
             continue
         # the shorter operand below the cut runs the outer loop

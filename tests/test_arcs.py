@@ -105,6 +105,14 @@ def test_empirical_codim_diagonal_reported():
     assert est.points == data
 
 
+def test_empirical_codim_reads_a_generator():
+    a = ideal(1, "x")
+    data = [(p, count_contact_jets(a, p, 2, 2)) for p in (3, 5, 7)]
+    est = empirical_codim(((p, count) for p, count in data), 1, 2)
+    assert abs(est.estimate - 2) < 1e-9
+    assert est.points == data
+
+
 def test_empirical_codim_needs_two_points():
     with pytest.raises(ValueError):
         empirical_codim([(3, 10)], 1, 1)

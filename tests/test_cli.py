@@ -141,6 +141,14 @@ def test_check_thm_budget_reaches_the_determinantal_rows(capsys):
     assert all(row["consistent"] for row in json.loads(out)["results"])
 
 
+def test_check_corD_budget_reaches_the_newton_walks(capsys):
+    # the same walk as lct monomial: C(4, 2) = 6 bases for (x^3, y^3)
+    code, out, err = run(capsys, "--budget", "5", "check", "corD", "--ideal", "x^3,y^3")
+    assert code == 3
+    assert "needs 6 candidate bases, budget is 5" in err
+    assert out == ""
+
+
 def test_check_failure_exit_code(capsys):
     # x is not in the Jacobian-square ideal of x^3
     code, _, err = run(

@@ -577,6 +577,24 @@ def test_morsify_map_is_pinned(text, n, order, images, residual):
     assert str(res.residual.poly) == residual
 
 
+def test_morsify_composes_one_map_per_diagonal_variable(monkeypatch):
+    # the shifts that clean one variable add up to a single map, so the only
+    # compositions are the linear diagonalization with each variable's map
+    calls = []
+    then = CoordinateMap.then
+
+    def counted(self, other):
+        calls.append(other)
+        return then(self, other)
+
+    monkeypatch.setattr(CoordinateMap, "then", counted)
+    for text, n, order, images, _ in _PINNED_MORSIFY:
+        calls.clear()
+        res = morsify(P(text, n), order)
+        assert [str(im.poly) for im in res.map.images] == images
+        assert len(calls) == len(res.diag_coeffs)
+
+
 def test_rank2_map_is_pinned_at_order_8():
     f = P("x^2 + y^3", 2)
     g = P("x*y^3 + y^4 + x^2*y", 2)

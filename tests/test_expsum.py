@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from lctlab.arcs import count_contact_jets
 from lctlab.budget import BudgetExceededError
 from lctlab.expsum import (
     count_solutions,
@@ -125,6 +126,36 @@ def test_restricted_sum_agrees_with_high_vanishing_cut():
     tube = exp_sum_restricted(f, p, m, ideal(2, "x", "y"))
     rep = igusa_identity_check(f, p, m, ideal(2, "x", "y"))
     assert rep.efz1 and abs(tube) <= 1
+
+
+_F2 = parse_poly("x^2 + y^2", 2)
+_CENSUSES = {
+    "residue_histogram": lambda p: residue_histogram(_F2, p, 2),
+    "exp_sum": lambda p: exp_sum(_F2, p, 2),
+    "exp_sum_restricted": lambda p: exp_sum_restricted(_F2, p, 2, ideal(2, "x")),
+    "count_solutions": lambda p: count_solutions(_F2, p, 2),
+    "decay_profile": lambda p: decay_profile(_F2, p, 2),
+    "igusa_identity_check": lambda p: igusa_identity_check(_F2, p, 2, ideal(2, "x", "y")),
+    "count_contact_jets": lambda p: count_contact_jets(IdealGens(2, [_F2]), p, 1, 1),
+}
+
+
+@pytest.mark.parametrize("p", [1, 4, 9])
+@pytest.mark.parametrize("name", sorted(_CENSUSES))
+def test_every_census_refuses_a_p_that_is_not_prime(name, p):
+    # Hensel lifting and the linear algebra mod p need the field Z/p
+    with pytest.raises(ValueError, match="p must be a prime"):
+        _CENSUSES[name](p)
+
+
+def test_census_refuses_a_level_below_one():
+    with pytest.raises(ValueError, match="at least 1"):
+        residue_histogram(_F2, 7, 0)
+
+
+def test_igusa_refuses_a_restriction_in_other_variables():
+    with pytest.raises(ValueError, match="restriction nvars mismatch"):
+        igusa_identity_check(_F2, 7, 2, ideal(3, "z"))
 
 
 # ---------------------------------------------------------------- N_k
