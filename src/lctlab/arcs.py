@@ -90,17 +90,17 @@ def count_contact_jets(
     """Number of order-m jets along which every generator vanishes to order
     >= e in t, over the field with p elements.  Exact.
 
-    Requires e <= m + 1 and integer generator coefficients.  The count
-    recurses over t-degree levels (see module docstring): level 0 keeps the
-    zeros of the generators mod p, a zero where their Jacobian has full row
-    rank is counted in closed form, and elsewhere each constrained level
-    descends only into the solutions of a linear system over F_p, so p
+    Requires m >= 0, 0 <= e <= m + 1 and integer generator coefficients.
+    The count recurses over t-degree levels (see module docstring): level 0
+    keeps the zeros of the generators mod p, a zero where their Jacobian has
+    full row rank is counted in closed form, and elsewhere each constrained
+    level descends only into the solutions of a linear system over F_p, so p
     must be prime.  The budget guards the volume p^((m+1)n) of the jet
     space.
     """
     n = gens.nvars
-    if e < 0 or e > m + 1:
-        raise ValueError("need 0 <= e <= m + 1")
+    if m < 0 or e < 0 or e > m + 1:
+        raise ValueError(f"need m >= 0 and 0 <= e <= m + 1, got m = {m}, e = {e}")
     terms = [_int_terms(g) for g in gens.gens]  # a Fraction is refused ahead of the budget
     check_budget(p ** ((m + 1) * n), budget, what="jet enumeration", unit="jets")
     _require_prime(p)

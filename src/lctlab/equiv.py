@@ -263,7 +263,8 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> Coordin
     requested one.  g is read from the witness target, and the witness
     coefficients give the matrix H with
     ``g = sum_{i,l} H[i][l] * partial_i(f) * partial_l(f)``.
-    The composed map is verified by substitution before being returned.
+    The composed map is checked by :func:`verify_map` against f + g before
+    being returned; a failure names the first degree where they differ.
     """
     if order < 2:
         raise ValueError(
@@ -295,8 +296,6 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> Coordin
 
     for _step in range(cap):
         residual = target - F
-        if residual.is_zero():
-            break
         res_mult = residual.multiplicity()
         if prev_res_mult is not None:
             if not res_mult > prev_res_mult:
@@ -389,8 +388,6 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> Coordin
                 if sum(r * m for r, m in zip(rest, g_mults)) >= p_B:
                     continue
                 grest = gpow.get(rest)
-                if grest.is_zero():
-                    continue
                 for u in range(n):
                     dpu = D(alpha[:u] + (alpha[u] + 1,) + alpha[u + 1:])
                     if not dpu.is_zero():
@@ -408,9 +405,9 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> Coordin
     else:
         raise AssertionError("absorption did not converge within the step cap")
 
-    residual = target - psi.apply(f, order)
-    if not residual.is_zero():
-        raise AssertionError("absorption map failed final verification")
+    ok, first_bad = verify_map(f, target, psi, order)
+    if not ok:
+        raise AssertionError(f"absorption map failed final verification at degree {first_bad}")
     return psi
 
 
@@ -445,8 +442,10 @@ class MorsifyResult(_SplitNormalForm):
 
 
 def _diagonalize_quadratic(S):
-    """Congruence transform: returns (P, diag) with P^T S P diagonal and the
-    nonzero diagonal entries first; P is exactly invertible."""
+    """Congruence transform: returns (P, diag) with P^T S P diagonal; P is
+    exactly invertible.  The nonzero diagonal entries come first by
+    construction: no later step touches a pivot S[k][k] once set, and the
+    loop stops at the first all-zero block."""
     n = len(S)
     S = [[Fraction(v) for v in row] for row in S]
     P = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
@@ -497,12 +496,7 @@ def _diagonalize_quadratic(S):
         for j in range(k + 1, n):
             if S[k][j]:
                 col_axpy(j, k, -S[k][j] / piv)
-    diag = [S[i][i] for i in range(n)]
-    # move zero diagonal entries to the back, preserving relative order
-    perm = [i for i in range(n) if diag[i]] + [i for i in range(n) if not diag[i]]
-    P = [[P[i][perm[j]] for j in range(n)] for i in range(n)]
-    diag = [_norm_coeff(diag[p]) for p in perm if diag[p]]
-    return P, diag
+    return P, [_norm_coeff(S[i][i]) for i in range(n) if S[i][i]]
 
 
 def _split_by_variable(poly: Polynomial, k: int):
@@ -619,10 +613,11 @@ def morsify(f, order: int) -> MorsifyResult:
             raise AssertionError("residual multiplicity below 3")
         if any(v <= r for v in res.poly.variables_used()):
             raise AssertionError("residual touches a diagonalized variable")
-    ok, first_bad = verify_map(fp, MorsifyResult(cmap, diag, res, order).normal_form(), cmap, order)
+    result = MorsifyResult(cmap, diag, res, order)
+    ok, first_bad = verify_map(fp, result.normal_form(), cmap, order)
     if not ok:
         raise AssertionError(f"morsify failed to verify at degree {first_bad}")
-    return MorsifyResult(cmap, diag, res, order)
+    return result
 
 
 # ----------------------------------------------------------------------

@@ -476,7 +476,9 @@ def decay_profile(
     budget=None,
     slack: float = 0.15,
 ) -> ExpSumProfile:
-    """E(p^m) and decay exponents for m = 1..mmax."""
+    """E(p^m) and decay exponents for m = 1..mmax; mmax must be at least 1."""
+    if mmax < 1:
+        raise ValueError(f"the top level mmax must be at least 1, got {mmax}")
     values, abs_values, sigma = {}, {}, {}
     flagged = []
     for m in range(1, mmax + 1):

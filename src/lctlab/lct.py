@@ -203,9 +203,9 @@ def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
     minimum sits at a vertex.  Only minimal generators are kept (a divided
     generator gives a redundant constraint for w >= 0); with m of them, each
     n-subset S of the m generator rows and n coordinate rows e_i is a
-    candidate basis, skipped when all its rows are coordinate rows or the
-    kernel's rank shows A_S singular.  The bases are walked in
-    ``combinations`` order and the first one that is primal and dual
+    candidate basis, skipped when the kernel's rank shows A_S singular (the
+    coordinate rows alone give p = 0, never primal feasible).  The bases are
+    walked in ``combinations`` order and the first one that is primal and dual
     feasible is returned: A_S (p / q) = b_S with p >= 0 and <p, v_j> >= q for
     every generator, and A_S^T (lam / den) = (1, ..., 1) with lam >= 0 and
     sum(lam_j v_j) <= den on every coordinate.
@@ -232,8 +232,6 @@ def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
     )
     for basis in combinations(range(m + n), n):
         rows = [k for k in basis if k < m]
-        if not rows:
-            continue
         fixed = {k - m for k in basis[len(rows):]}
         free = [i for i in range(n) if i not in fixed]
         # A_S (p / q) = b_S, with p_i = 0 on the coordinate rows of S

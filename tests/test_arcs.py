@@ -78,6 +78,18 @@ def test_bad_contact_order():
         count_contact_jets(DET2, 3, 1, 3)
 
 
+def test_negative_jet_order_is_refused():
+    with pytest.raises(ValueError, match="m >= 0"):
+        count_contact_jets(ideal(2, "x^2 + y^2"), 5, -1, 0)
+
+
+def test_jet_order_zero_counts_constant_jets():
+    # x^2 + y^2 has 9 zeros mod 5, since -1 = 2^2 there
+    a = ideal(2, "x^2 + y^2")
+    assert count_contact_jets(a, 5, 0, 0) == 25
+    assert count_contact_jets(a, 5, 0, 1) == 9
+
+
 # ---------------------------------------------------------------- codim estimates
 
 

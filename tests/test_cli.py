@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -255,9 +256,58 @@ def test_check_suites(capsys):
     assert code == 0
 
 
+def test_check_thmA_reports_the_regime_rows(capsys):
+    code, out, _ = run(capsys, "check", "thmA", "--grid", "3")
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert len(rows) == 6  # four diagonal (n, d) pairs, two determinants
+    for row in rows:
+        # lct(f) = min(n/d, 1) for x_1^d + ... + x_n^d; 1 for the determinant
+        expected = min(Fraction(row["n"], row["d"]), 1) if row["family"] == "diagonal" else 1
+        assert Fraction(row["lct_f"]) == expected
+        assert row["consistent"]
+
+
+@pytest.mark.parametrize("lct,flagged", [("1", [2, 3]), ("1/2", [])])
+def test_decay_flags_levels_below_the_reference_threshold(capsys, lct, flagged):
+    # x^2 decays with sigma = 1/2 at every level m >= 2
+    code, out, _ = run(capsys, "decay", "--poly", "x^2", "--p", "5", "--mmax", "3", "--lct", lct)
+    assert code == 0
+    rows = json.loads(out)["results"]
+    assert [row["m"] for row in rows if row["flagged"]] == flagged
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_budget_below_one_is_a_usage_error(capsys, monkeypatch, source):
+    if source == "flag":
+        argv = ["--budget", "0", "lct", "det", "--n", "3"]
+    else:
+        monkeypatch.setenv("LCTLAB_BUDGET", "-5")
+        argv = ["lct", "det", "--n", "3"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "usage error: budget must be positive" in err
+    assert out == ""
+
+
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--cases", "3", "--seed", "99")
     assert code == 0
+
+
+def test_selftest_skips_a_germ_of_multiplicity_above_three(capsys):
+    # at seed 107 the random terms cancel the x^3 term: 2*x^4 - x*y^3
+    code, out, _ = run(capsys, "selftest", "--cases", "1", "--seed", "107")
+    assert code == 0
+    assert json.loads(out)["results"] == [{"case": 0, "skipped": True}]
+
+
+def test_tsv_report_without_rows_is_the_header_alone():
+    out = io.StringIO()
+    cli.emit_report("check", {"what": "corD"}, [], "tsv", out=out)
+    assert out.getvalue() == (
+        f"# schema: {cli.SCHEMA}\n# version: {cli.__version__}\n# command: check\n# what: corD\n"
+    )
 
 
 def test_top_level_seed_reaches_selftest(capsys):
@@ -316,6 +366,17 @@ _GOLDEN_SHA256 = {
 
 def test_exact_golden_tables_are_pinned(tmp_path):
     emit_golden_tables(str(tmp_path))
+    for name, digest in _GOLDEN_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_golden_command_writes_the_pinned_tables(capsys, tmp_path):
+    code, out, _ = run(capsys, "golden", "--out", str(tmp_path))
+    assert code == 0
+    written = json.loads(out)["results"][0]["written"]
+    assert sorted(os.path.basename(path) for path in written) == sorted(
+        [*_GOLDEN_SHA256, "expsum_profiles.tsv"]
+    )
     for name, digest in _GOLDEN_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 

@@ -162,6 +162,15 @@ def test_morsify_hyperbolic_block():
     assert res.map.jacobian_at_zero() != 0
 
 
+def test_morsify_builds_a_pivot_from_a_later_off_diagonal_entry():
+    # the quadratic form y*z has no diagonal entry and nothing in the x row:
+    # the y column is swapped to the front and y + z gives the first pivot
+    f = P("y*z + x^3", 3)
+    res = morsify(f, 8)
+    assert res.diag_coeffs == [1, Fraction(-1, 4)]
+    assert verify_map(f, res.normal_form(), res.map, 8) == (True, None)
+
+
 def test_morsify_keeps_quadratic_rank_and_verifies():
     rng = random.Random(17)
     for _ in range(6):

@@ -158,6 +158,18 @@ def test_igusa_refuses_a_restriction_in_other_variables():
         igusa_identity_check(_F2, 7, 2, ideal(3, "z"))
 
 
+def test_restricted_sum_refuses_a_restriction_in_other_variables():
+    with pytest.raises(ValueError, match="restriction nvars mismatch"):
+        exp_sum_restricted(_F2, 7, 2, ideal(3, "z"))
+
+
+@pytest.mark.parametrize("p,mmax", [(4, 0), (5, 0), (5, -2)])
+def test_decay_profile_refuses_a_top_level_below_one(p, mmax):
+    # refused before any census, so an empty profile never hides a bad p
+    with pytest.raises(ValueError, match="mmax must be at least 1"):
+        decay_profile(_F2, p, mmax)
+
+
 # ---------------------------------------------------------------- N_k
 
 

@@ -141,6 +141,15 @@ def test_membership_min_degree_constraint():
     assert isinstance(res, NotMember)
 
 
+def test_zero_generator_is_passed_over():
+    # a partial in a variable f does not involve is 0, so J_f can list 0
+    a = IdealGens(2, [P("x^2", 2), P("0", 2), P("y^3", 2)])
+    assert a.exponents() == [(2, 0), (0, 3)]
+    w = membership_truncated(P("x^3 + x*y^3", 2), a, 6)
+    assert w.verify()
+    assert [c.poly for c in w.coefficients] == [P("x", 2), Polynomial.zero(2), P("x", 2)]
+
+
 def test_membership_check_survives_optimized_mode():
     # python -O strips assert statements; the witness check must still raise
     script = (

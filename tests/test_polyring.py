@@ -429,6 +429,27 @@ def test_series_inverse_multivariate_matches_full_order_newton():
     assert inv == ref
 
 
+# ---------------------------------------------------------------- evaluation and equality
+
+
+def test_call_evaluates_exactly():
+    f = P("x^2 + y^2", 2)
+    assert f(1, 2) == 5 and type(f(1, 2)) is int
+    assert f(Fraction(1, 2), 1) == Fraction(5, 4)
+    with pytest.raises(ValueError, match="wrong number of arguments"):
+        f(1)
+
+
+def test_scalar_equality_and_hash():
+    c = Polynomial.constant(2, 3)
+    assert c == 3 and c == Fraction(3) and c != 4
+    assert c != Polynomial.constant(1, 3)
+    assert (c == "3") is False
+    built = P("x + y", 2) - P("y", 2)
+    assert built == P("x", 2) and hash(built) == hash(P("x", 2))
+    assert len({built, P("x", 2), c, Polynomial.constant(2, Fraction(6, 2))}) == 2
+
+
 # ---------------------------------------------------------------- multiplicity
 
 
