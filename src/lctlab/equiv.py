@@ -329,7 +329,8 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> Coordin
         # H, every g_i has multiplicity >= hm + jmult; W is read only through
         # W * g_i1 * g_i2 mod m^order and H^T (-W) H mod m^wit_order, so it is
         # needed mod m^p_W, p_W = wit_order - 2 hm, and so are the D^beta F
-        # and g^rest it reads.  D^beta F mod m^p_W reads F below
+        # it reads; each g^rest is read only against its D^alpha F, so mod
+        # m^(p_W - mult D^alpha F).  D^beta F mod m^p_W reads F below
         # m^(p_W + |beta|) only.
         hm = min(h.multiplicity() for row in H for h in row)
         p_W = wit_order - 2 * hm
@@ -350,7 +351,7 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> Coordin
                 continue
             dpf = D(alpha)
             if not dpf.is_zero():
-                W.setdefault((i1, i2), []).append((dpf, gpow.get(rest)))
+                W.setdefault((i1, i2), []).append((dpf, gpow.get(rest, p_W - dpf.multiplicity())))
         W = {key: dot(n, pairs, p_W) for key, pairs in W.items()}
         quad = [(w, gs[i1].mul_truncated(gs[i2], order)) for (i1, i2), w in W.items()]
         F_new = TruncatedSeries(F.poly + recon + dot(n, quad, order), order)
@@ -371,8 +372,9 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> Coordin
         # B enters only as B^T H_mid B mod m^wit_order and B - I has
         # multiplicity >= 1, so with mu the least multiplicity of an entry of
         # H_mid, B and all it is built from are needed mod m^p_B,
-        # p_B = wit_order - mu; mu >= 2 hm, so p_B <= p_W and gpow and D
-        # serve V.  For p_B <= 1, B = I there and the new witness is H_mid.
+        # p_B = wit_order - mu; mu >= 2 hm, so p_B <= p_W and gpow (asked
+        # mod m^p_B) and D serve V.  For p_B <= 1, B = I there and the new
+        # witness is H_mid.
         mu = min(h.multiplicity() for row in H_mid for h in row)
         p_B = wit_order - mu
         if p_B <= 1:
@@ -387,7 +389,7 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> Coordin
                 rest = tuple(a - (i == w_idx) for i, a in enumerate(alpha))
                 if sum(r * m for r, m in zip(rest, g_mults)) >= p_B:
                     continue
-                grest = gpow.get(rest)
+                grest = gpow.get(rest, p_B)
                 for u in range(n):
                     dpu = D(alpha[:u] + (alpha[u] + 1,) + alpha[u + 1:])
                     if not dpu.is_zero():

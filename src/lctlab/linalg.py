@@ -2,7 +2,8 @@
 
 :class:`SparseEliminator` is the one elimination kernel: ideal membership
 solves with it, Milnor-number colengths read its rank, and ``rank_dense``
-and ``det_dense`` are front doors over it for small dense matrices.
+and ``det_dense`` are front doors over it for small dense matrices
+(``det_dense`` takes the closed form up to 3 x 3).
 ``solve_dense`` is a third such door with no caller in the library: the
 test oracle that inverts coordinate maps (``tests/oracles.py``) solves with
 it, and the benchmark's traced run looks its name up.
@@ -231,12 +232,23 @@ def rank_dense(matrix) -> int:
 
 
 def det_dense(matrix):
-    """Exact determinant of a square matrix: the signed product of the pivots.
+    """Exact determinant of a square matrix, as a ``Fraction``.
 
-    The sign is that of the permutation taking pivot columns, in the order
-    the pivots were found, to the column order.
+    Up to 3 x 3 it is the closed form (cofactors along the first row), so
+    the linear part of every coordinate map in up to three variables builds
+    no eliminator.  Larger matrices are eliminated: the determinant is the
+    signed product of the pivots, the sign that of the permutation taking
+    pivot columns, in the order the pivots were found, to the column order.
     """
     n = len(matrix)
+    if n < 2:
+        return Fraction(matrix[0][0] if n else 1)
+    if n == 2:
+        (a, b), (c, d) = matrix
+        return Fraction(a * d - b * c)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = matrix
+        return Fraction(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
     elim = _dense_rows(matrix)
     if elim.rank < n:
         return Fraction(0)

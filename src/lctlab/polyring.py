@@ -21,7 +21,12 @@ exponents packed into int keys at one fixed base through a memoized codec,
 each operand packed once as int numerators over one denominator.  Every
 Taylor or composition sum is one :func:`dot` over exponents from one
 enumerator, :func:`monomials_below`, with products ``g^alpha`` of a series
-tuple from one memoized power cache, :class:`_Powers`.
+tuple from one memoized power cache, :class:`_Powers`.  Each product is
+built only to the precision at which it is read: ``g^alpha`` paired with a
+factor of multiplicity m in a sum cut at m^N is asked for mod m^(N - m), and
+built from ``g^(alpha - e_i)`` mod m^(N - m - mult g_i).  A substitution
+along images tangent to the identity, x_i + h_i, is the Taylor expansion
+along the shifts h; other linear parts compose through the image powers.
 
 Printing is canonical: terms are ordered by graded reverse lexicographic
 order (highest degree first), so equal polynomials always print identically
@@ -179,7 +184,13 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
+        # a constant (zero included) equals its scalar, so it hashes as one
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and (c := terms.get((0,) * self.nvars)) is not None:
+            return hash(c)
+        return hash((self.nvars, frozenset(terms.items())))
 
     def __neg__(self):
         return Polynomial._make(self.nvars, {m: -c for m, c in self.terms.items()})
@@ -576,8 +587,14 @@ def _image_list(images, nvars, what=None):
 class _Powers:
     """Memoized truncated products ``g^alpha`` of a tuple of series.
 
-    ``g^alpha`` is built from ``g^(alpha - e_i)`` with i the first nonzero
-    index of alpha.  Truncation commutes with regrouping, trunc(trunc(ab)c) =
+    ``get(alpha, order)`` is ``g^alpha`` mod m^order (the cache's own order
+    by default), built from ``g^(alpha - e_i)`` mod m^(order - mult g_i)
+    times g_i, with i the first nonzero index of alpha.  That is exact,
+    because g_i has multiplicity at least mult g_i, so each product is built
+    only to the precision at which it is read.  The memo keeps each alpha at
+    the highest precision built so far; a request at that precision or below
+    is a hit and may return the longer value, which :func:`dot` cuts at its
+    own cut.  Truncation commutes with regrouping, trunc(trunc(ab)c) =
     trunc(abc), so every product is the same whatever order its factors are
     taken in.
     """
@@ -585,16 +602,30 @@ class _Powers:
     def __init__(self, gs, order):
         self.gs = gs
         self.order = order
-        self.cache = {(0,) * len(gs): Polynomial.constant(gs[0].nvars, 1)}
+        # a zero g_i makes every product with it zero, so any weight serves
+        self.mults = [g.multiplicity() if g.terms else order for g in gs]
+        self.cache = {(0,) * len(gs): (order, Polynomial.constant(gs[0].nvars, 1))}
 
-    def get(self, alpha):
-        val = self.cache.get(alpha)
-        if val is None:
-            i = next(k for k, a in enumerate(alpha) if a)
-            prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-            val = self.get(prev).mul_truncated(self.gs[i], self.order)
-            self.cache[alpha] = val
+    def get(self, alpha, order=None):
+        order = self.order if order is None else min(order, self.order)
+        hit = self.cache.get(alpha)
+        if hit is not None and hit[0] >= order:
+            return hit[1]
+        i = next(k for k, a in enumerate(alpha) if a)
+        prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+        val = self.get(prev, order - self.mults[i]).mul_truncated(self.gs[i], order)
+        self.cache[alpha] = (order, val)
         return val
+
+
+def _shifts_of_tangent(imgs, nvars):
+    """The shifts h_i of images x_i + h_i whose linear part is the identity,
+    or None for any other linear part."""
+    units = [tuple(int(k == i) for k in range(nvars)) for i in range(nvars)]
+    for im, unit in zip(imgs, units):
+        if {m: c for m, c in im.terms.items() if sum(m) == 1} != {unit: 1}:
+            return None
+    return [im - Polynomial._make(nvars, {unit: 1}) for im, unit in zip(imgs, units)]
 
 
 def substitute(f, images, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -602,17 +633,35 @@ def substitute(f, images, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
     Every image must have zero constant term (the substitution maps the
     maximal ideal into itself), which makes the composition well defined at
-    any finite truncation order.  The result is the sum of ``c * image^mono``
-    over the terms of f, with the powers taken from one :class:`_Powers`
-    cache; a term whose weighted multiplicity reaches ``order`` is skipped.
+    any finite truncation order.  Images tangent to the identity, x_i + h_i
+    (linear part exactly x_i), go through the Taylor expansion
+    :func:`_taylor_shift` along the shifts h: for a germ of low degree and
+    shifts of high multiplicity few ``h^alpha`` are read, each at low
+    precision.  Any other linear part takes the power path,
+    :func:`_substitute_powers`: the sum of ``c * image^mono`` over the terms
+    of f, with the powers from one :class:`_Powers` cache, where a term whose
+    weighted multiplicity reaches ``order`` is skipped.  Both give the same
+    series.  The power path is the faster one there: along shifts of
+    multiplicity 1 the Taylor expansion reads a D^alpha f for nearly every
+    alpha below the degree of f, and verifying ``morsify``'s maps by Taylor
+    alone took 1.5 to 4.5 times as long.
     """
     if isinstance(f, TruncatedSeries):
         order = min(order, f.order)
         f = f.poly
     imgs = _image_list(images, f.nvars, "image")
+    shifts = _shifts_of_tangent(imgs, f.nvars)
+    if shifts is not None:
+        return _taylor_shift(f, _Powers(shifts, order))
+    return _substitute_powers(f, imgs, order)
+
+
+def _substitute_powers(f: Polynomial, imgs, order: int) -> TruncatedSeries:
+    """The power path of :func:`substitute`: one :func:`dot` of the
+    coefficients of f against the image powers ``image^mono``."""
+    n = f.nvars
     mults = [im.multiplicity() for im in imgs]
     powers = _Powers(imgs, order)
-    n = f.nvars
     pairs = [(Polynomial._make(n, {(0,) * n: c}), powers.get(mono)) for mono, c in f.terms.items()
              if sum(e * m for e, m in zip(mono, mults) if e) < order]
     return TruncatedSeries(dot(n, pairs, order), order)
@@ -640,17 +689,18 @@ def _taylor_shift(f: Polynomial, powers: _Powers) -> TruncatedSeries:
     Only contributing exponents are visited: an alpha with some alpha_i above
     every exponent of x_i in f has D^alpha f = 0 and is skipped unexpanded,
     and one with mult(D^alpha f) + sum(alpha_i * mult(g_i)) >= order is
-    skipped before g^alpha is built; :func:`dot` would drop both pairs."""
-    gs, order, n = powers.gs, powers.order, f.nvars
-    mults = [g.multiplicity() if not g.is_zero() else order for g in gs]
+    skipped before g^alpha is built; :func:`dot` would drop both pairs.  The
+    product D^alpha f * g^alpha is read below m^order only, so g^alpha is
+    asked for mod m^(order - mult(D^alpha f))."""
+    order, mults, n = powers.order, powers.mults, f.nvars
     tops = [max([m[i] for m in f.terms], default=-1) for i in range(n)]
     pairs = []
     for alpha in monomials_below(mults, order)[1:]:  # alpha != 0
         if any(map(int.__gt__, alpha, tops)):
             continue
         dpf = divided_power(f, alpha)
-        if dpf.terms and dpf.multiplicity() + sum(map(int.__mul__, alpha, mults)) < order:
-            pairs.append((dpf, powers.get(alpha)))
+        if dpf.terms and (m := dpf.multiplicity()) + sum(map(int.__mul__, alpha, mults)) < order:
+            pairs.append((dpf, powers.get(alpha, order - m)))
     return TruncatedSeries(f + dot(n, pairs, order), order)
 
 

@@ -240,6 +240,36 @@ def test_det_sign_follows_the_pivot_permutation():
     assert det_dense([]) == 1
 
 
+def _det_by_elimination(matrix):
+    """det_dense of the block diagonal (matrix, I_4): the same determinant,
+    at a size where det_dense eliminates."""
+    n = len(matrix)
+    padded = [list(row) + [0] * 4 for row in matrix]
+    padded += [[0] * n + [int(i == j) for j in range(4)] for i in range(4)]
+    return det_dense(padded)
+
+
+def test_closed_form_determinants_match_the_eliminator():
+    rng = random.Random(4243)
+    seen = {"int": 0, "Fraction": 0, "singular": 0}
+    for k in range(240):
+        n, kind = k % 4, ("int", "Fraction", "singular")[k // 4 % 3]
+        den = (1,) if kind == "int" else (1, 2, 3, 7, 2**70 + 1)
+        matrix = [[Fraction(rng.randint(-9, 9), rng.choice(den)) for _ in range(n)] for _ in range(n)]
+        if kind == "int":
+            matrix = [[int(v) for v in row] for row in matrix]
+        if kind == "singular" and n:
+            # the last row a combination of the others (zero for n = 1)
+            cs = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(n - 1)]
+            matrix[-1] = [sum((c * row[j] for c, row in zip(cs, matrix)), Fraction(0)) for j in range(n)]
+        det = det_dense(matrix)
+        assert type(det) is Fraction
+        assert det == _det_by_elimination(matrix) == leibniz_det(matrix) == fraction_det(matrix), matrix
+        seen[kind] += n > 0 and (kind != "singular" or det == 0)
+    assert min(seen.values()) >= 50, seen
+    assert det_dense([]) == 1 and type(det_dense([])) is Fraction
+
+
 @pytest.mark.parametrize(
     "weights",
     [(1,), (3,), (1, 1), (2, 3), (1, 1, 1), (1, 2, 5), (4, 1, 1), (1, 1, 1, 1), (2, 1, 3, 1)],

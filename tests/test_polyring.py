@@ -369,6 +369,99 @@ def test_substitute_shifted_matches_the_unpruned_walk():
     assert min(seen.values()) >= 25, seen
 
 
+# A g^alpha is asked for at the precision it is read, and a map tangent to the
+# identity is substituted as a Taylor shift: both against the full-order
+# products and against the power path of ``substitute``.
+
+
+def _full_power(gs, alpha, order):
+    """g^alpha mod m^order, one factor power at a time at the full order."""
+    out = Polynomial.constant(gs[0].nvars, 1)
+    for g, a in zip(gs, alpha):
+        out = out.mul_truncated(g.pow_truncated(a, order), order)
+    return out
+
+
+def test_powers_at_a_precision_match_the_full_order_product():
+    rng = random.Random(8191)
+    seen = {"longer value": 0, "rebuilt higher": 0, "zero shift": 0, "Fraction": 0}
+    for _ in range(80):
+        n = rng.randint(1, 3)
+        order = rng.randint(3, 10)
+        gs = _image_list(_random_series_tuple(rng, n), n)
+        weights = [g.multiplicity() if g.terms else order for g in gs]
+        requests = [(alpha, rng.choice((None, order + 2, *range(1, order + 1))))
+                    for alpha in monomials_below(weights, order) for _ in range(2)]
+        rng.shuffle(requests)
+        powers = _Powers(gs, order)
+        for alpha, prec in requests:
+            before = powers.cache.get(alpha, (0,))[0]
+            got = powers.get(alpha, prec)
+            cut = order if prec is None else min(prec, order)
+            assert got.truncate(cut) == _full_power(gs, alpha, order).truncate(cut), (gs, alpha, prec)
+            seen["longer value"] += before > cut and got.truncate(cut) != got
+            seen["rebuilt higher"] += 0 < before < cut
+        for alpha, (prec, val) in powers.cache.items():  # each kept at its own precision
+            assert val == _full_power(gs, alpha, order).truncate(prec)
+        seen["zero shift"] += any(g.is_zero() for g in gs)
+        seen["Fraction"] += any(type(c) is Fraction for g in gs for c in g.terms.values())
+    assert min(seen.values()) >= 10, seen
+
+
+def _tangent_corpus(seed):
+    """Germs with maps x_i -> x_i + h_i in 2 and 3 variables: some shifts
+    zero, the others of multiplicity 2 to 4, Fraction coefficients among
+    the rest, and germ terms at and above the order."""
+    rng = random.Random(seed)
+    for k in range(120):
+        n = 2 + k % 2
+        shifts = []
+        for _ in range(n):
+            lo = rng.choice((2, 2, 3, 4))
+            shifts.append(Polynomial.zero(n) if rng.random() < 0.2
+                          else _random_poly(rng, n, rng.randint(1, 4), lo, lo + 2))
+        f = _random_poly(rng, n, rng.randint(1, 6), 1, 6)
+        yield f, [Polynomial.variable(n, i) + h for i, h in enumerate(shifts, start=1)], rng.randint(3, 12)
+
+
+def test_tangent_maps_substitute_as_the_power_path_does():
+    seen = {"zero shift": 0, "Fraction": 0, "f at or above the order": 0}
+    for f, images, order in _tangent_corpus(6151):
+        got = substitute(f, images, order)
+        want = polyring._substitute_powers(f, images, order)
+        assert got.order == want.order and _typed(got.poly) == _typed(want.poly), (str(f), images, order)
+        assert got.poly == _substitute_per_variable(f, images, order).poly
+        seen["zero shift"] += any(len(im.terms) == 1 for im in images)
+        seen["Fraction"] += any(type(c) is Fraction for p in [f, *images] for c in p.terms.values())
+        seen["f at or above the order"] += f.total_degree() >= order
+    assert min(seen.values()) >= 25, seen
+
+
+def test_substitute_routes_on_the_linear_part(monkeypatch):
+    x, y, z = (Polynomial.variable(3, i) for i in (1, 2, 3))
+    f = P("x^3 + 2*x*y*z - y^4 + 1/2*z^3 + x*y", 3)
+    h = P("x^2 - 1/3*y*z + z^3", 3)
+    tangent = [x + h, y, z - h * h]
+    others = [
+        [2 * x + h, y, z],  # a scaled variable
+        [y, x + h, z],  # a permutation
+        [x + y + h, y, z],  # a linear cross term
+        [x + h, y * Fraction(1, 2), z + x],
+    ]
+
+    def refuse(*_):
+        raise AssertionError("wrong path")
+
+    with monkeypatch.context() as m:
+        m.setattr(polyring, "_substitute_powers", refuse)
+        got = substitute(f, tangent, 9)
+    assert _typed(got.poly) == _typed(polyring._substitute_powers(f, tangent, 9).poly)
+    monkeypatch.setattr(polyring, "_taylor_shift", refuse)
+    for images in others:
+        got = substitute(f, images, 9)
+        assert got.poly == _substitute_per_variable(f, images, 9).poly, images
+
+
 # ---------------------------------------------------------------- series
 
 
@@ -448,6 +541,14 @@ def test_scalar_equality_and_hash():
     built = P("x + y", 2) - P("y", 2)
     assert built == P("x", 2) and hash(built) == hash(P("x", 2))
     assert len({built, P("x", 2), c, Polynomial.constant(2, Fraction(6, 2))}) == 2
+
+
+def test_a_constant_hashes_as_its_scalar():
+    c = Polynomial.constant(1, 3)
+    assert 3 in {c} and c in {3}
+    assert len({3, c}) == 1
+    assert hash(Polynomial.zero(2)) == hash(0) and 0 in {Polynomial.zero(2)}
+    assert Fraction(1, 2) in {Polynomial.constant(2, Fraction(1, 2))}
 
 
 # ---------------------------------------------------------------- multiplicity
