@@ -6,12 +6,13 @@ Three independent computations live here:
   polyhedron, by Howald's linear program
   lct(a) = min { sum(w) : w >= 0, <w, v_j> >= 1 for every generator v_j },
   solved exactly by walking the candidate bases in a fixed order and stopping
-  at the first that is primal and dual feasible, hence optimal (each basis an
-  n x n integer system solved by :class:`~lctlab.linalg.SparseEliminator`
-  to integer numerators over one denominator, a ``Fraction`` built only for
-  the value and the dual multipliers), and returned with that primal-dual
-  certificate, checked before the value leaves the function
-  (:func:`newton_lct_certificate`);
+  at the first that is primal and dual feasible, hence optimal.  Each basis
+  costs one integer adjugate (:func:`~lctlab.linalg.adjugate_dense`): the
+  primal vertex is read from its row sums and the dual multipliers from its
+  column sums, both over its determinant, and a ``Fraction`` is built only
+  for the value and the multipliers of the basis returned.  The value comes
+  with that primal-dual certificate, checked in integers before it leaves
+  the function (:func:`newton_lct_certificate`);
 
 * :func:`lct_diag_fJ2` and :func:`lct_det_fJ2`: closed-form thresholds of
   the ideal (f) + J_f^2 for the diagonal family x_1^d + ... + x_n^d and for
@@ -38,11 +39,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, gcd
+from operator import mul
 from typing import Optional
 
 from .budget import check_budget
 from .jacobian import IdealGens, _minimal_monomials, ideal_D, ideal_power, ideal_sum
-from .linalg import SparseEliminator
+from .linalg import adjugate_dense
 
 
 # ----------------------------------------------------------------------
@@ -157,16 +159,22 @@ class LctCertificate:
                 return False
             return inv.ord_fJ2 > 0 and Fraction(inv.codim, inv.ord_fJ2) == self.value
         if isinstance(w, NewtonWitness):
-            a = context
-            order = w.ray.ord_ideal(a)
-            if order == 0 or Fraction(w.ray.log_discrepancy(), order) != self.value:
+            # every comparison in integers: the value as num / den, and the
+            # lambda over the lcm ``big`` of their denominators
+            exps = context.exponents()
+            num, den = self.value.numerator, self.value.denominator
+            order = min(w.ray.ord_monomial(v) for v in exps)
+            if order == 0 or w.ray.log_discrepancy() * den != num * order:
                 return False
-            gens = set(a.exponents())
-            if any(c < 0 or v not in gens for v, c in w.lam):
+            gens = set(exps)
+            if any(c.numerator < 0 or v not in gens for v, c in w.lam):
                 return False
-            if any(sum(c * v[i] for v, c in w.lam) > 1 for i in range(a.nvars)):
-                return False
-            return sum(c for _, c in w.lam) == self.value
+            big = math.lcm(*(c.denominator for _, c in w.lam))
+            nums = [c.numerator * (big // c.denominator) for _, c in w.lam]
+            for i in range(context.nvars):
+                if sum(c * v[i] for (v, _), c in zip(w.lam, nums)) > big:
+                    return False
+            return sum(nums) * den == num * big
         return False
 
 
@@ -182,18 +190,6 @@ def _monomial_exponents(a: IdealGens):
     return a.exponents()
 
 
-def _solve_square(columns, target):
-    """({k: p_k}, q) with sum(p_k * columns[k]) == q * target and q > 0 the
-    least such denominator, for columns and target given as sparse integer
-    dicts, which the kernel takes as they are; None when the columns are
-    linearly dependent."""
-    elim = SparseEliminator()
-    for k, col in columns.items():
-        if not elim.add_row(col, tag=k):
-            return None
-    return elim.solve_integral(target)
-
-
 def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
     """Threshold of a proper nonzero monomial ideal, with a checked
     primal-dual certificate (:class:`NewtonWitness`).
@@ -203,27 +199,38 @@ def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
     minimum sits at a vertex.  Only minimal generators are kept (a divided
     generator gives a redundant constraint for w >= 0); with m of them, each
     n-subset S of the m generator rows and n coordinate rows e_i is a
-    candidate basis, skipped when the kernel's rank shows A_S singular (the
-    coordinate rows alone give p = 0, never primal feasible).  The bases are
-    walked in ``combinations`` order and the first one that is primal and dual
-    feasible is returned: A_S (p / q) = b_S with p >= 0 and <p, v_j> >= q for
-    every generator, and A_S^T (lam / den) = (1, ..., 1) with lam >= 0 and
-    sum(lam_j v_j) <= den on every coordinate.
+    candidate basis.  With p = 0 on the coordinate rows of S, both of its
+    systems live on M = [v_j[i]], j over the generator rows of S and i over
+    the coordinates left free, and one integer adjugate of M
+    (:func:`~lctlab.linalg.adjugate_dense`) solves both: the basis is skipped
+    when det M = 0, the primal vertex is p / q with p the row sums of adj M
+    and q = det M, and the dual multipliers lam / q are its column sums, each
+    side's sign moved onto p or lam so that q > 0.  The bases are walked in
+    ``combinations`` order and the first one that is primal and dual
+    feasible is returned: A_S (p / q) = b_S with p >= 0 and <p, v_j> >= q
+    for every generator, and A_S^T (lam / q) = (1, ..., 1) with lam >= 0 and
+    sum(lam_j v_j) <= q on every coordinate.  The coordinate rows alone give
+    p = 0, never primal feasible.
 
     Such a basis is optimal.  p vanishes on the coordinate rows of S and
     each generator row of S is tight, so sum(p) / q = sum_i (p_i / q)
-    sum_j (lam_j / den) v_j[i] = sum_j (lam_j / den) <p / q, v_j> =
-    sum(lam) / den (complementary slackness), and by weak duality no
-    feasible w has sum(w) below sum(lam) / den.  Conversely an optimal basis
-    is primal feasible, so in this order the first primal and dual feasible
-    basis is the first optimal basis that passes the dual test: a degenerate
-    vertex can have optimal bases with negative duals, which are passed
-    over.  The C(m + n, n) bases are checked against ``budget`` before the
-    walk starts.
+    sum_j (lam_j / q) v_j[i] = sum_j (lam_j / q) <p / q, v_j> =
+    sum(lam) / q (complementary slackness), and by weak duality no feasible
+    w has sum(w) below sum(lam) / q.  Conversely an optimal basis is primal
+    feasible, so in this order the first primal and dual feasible basis is
+    the first optimal basis that passes the dual test: a degenerate vertex
+    can have optimal bases with negative duals, which are passed over.  The
+    C(m + n, n) bases are checked against ``budget`` before the walk starts.
     """
     exps = _monomial_exponents(a)
     if any(sum(e) == 0 for e in exps):
         raise ValueError("the unit ideal has no finite threshold")
+    return _newton_certificate(a, exps, budget)
+
+
+def _newton_certificate(a: IdealGens, exps, budget) -> LctCertificate:
+    """:func:`newton_lct_certificate` on the exponents ``exps`` of the proper
+    monomial ideal ``a``."""
     n = a.nvars
     gens = sorted(_minimal_monomials(exps))
     m = len(gens)
@@ -234,27 +241,27 @@ def newton_lct_certificate(a: IdealGens, budget=None) -> LctCertificate:
         rows = [k for k in basis if k < m]
         fixed = {k - m for k in basis[len(rows):]}
         free = [i for i in range(n) if i not in fixed]
-        # A_S (p / q) = b_S, with p_i = 0 on the coordinate rows of S
-        got = _solve_square({i: {j: gens[j][i] for j in rows if gens[j][i]} for i in free},
-                            dict.fromkeys(rows, 1))
-        if got is None:
+        det, adj = adjugate_dense([[gens[j][i] for i in free] for j in rows])
+        if not det:
             continue
-        w, q = got
-        p = tuple(w.get(i, 0) for i in range(n))
-        if min(p) < 0 or any(sum(x * y for x, y in zip(p, v)) < q for v in gens):
+        sign, q = (1, det) if det > 0 else (-1, -det)
+        # A_S (p / q) = b_S: adj M times (1, ..., 1) on the free coordinates
+        p = [0] * n
+        for i, row in zip(free, adj):
+            p[i] = sign * sum(row)
+        if min(p) < 0 or any(sum(map(mul, p, v)) < q for v in gens):
             continue
-        # A_S^T (lam / den) = (1, ..., 1): multipliers on the generator rows
-        # of S, and slacks 1 - sum(lambda_j v_j)_i on its coordinate rows
-        lam, den = _solve_square({j: {i: gens[j][i] for i in free if gens[j][i]} for j in rows},
-                                 dict.fromkeys(free, 1))
-        if any(c < 0 for c in lam.values()):
+        # A_S^T (lam / q) = (1, ..., 1): multipliers on the generator rows of
+        # S, and slacks 1 - sum(lambda_j v_j)_i on its coordinate rows
+        lam = [sign * sum(col) for col in zip(*adj)]
+        if any(c < 0 for c in lam):
             continue
-        if any(sum(c * gens[j][i] for j, c in lam.items()) > den for i in range(n)):
+        if any(sum(c * gens[j][i] for j, c in zip(rows, lam)) > q for i in range(n)):
             continue
         g = gcd(*p)
         witness = NewtonWitness(
             ray=RayValuation(tuple(x // g for x in p)),
-            lam=tuple((gens[j], Fraction(c, den)) for j, c in sorted(lam.items())),
+            lam=tuple((gens[j], Fraction(c, q)) for j, c in zip(rows, lam) if c),
         )
         break
     else:
@@ -273,9 +280,10 @@ def newton_lct(a: IdealGens, budget=None):
     computed by :func:`newton_lct_certificate`, whose certificate is checked
     on every call.  Unit ideals give the +inf sentinel.
     """
-    if any(sum(e) == 0 for e in _monomial_exponents(a)):
+    exps = _monomial_exponents(a)
+    if any(sum(e) == 0 for e in exps):
         return math.inf  # unit ideal
-    return newton_lct_certificate(a, budget).value
+    return _newton_certificate(a, exps, budget).value
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Exact linear algebra over the rationals, on sparse integer dict rows.
 
 :class:`SparseEliminator` is the one elimination kernel: ideal membership
-solves with it, Milnor-number colengths read its rank, and ``rank_dense``
-and ``det_dense`` are front doors over it for small dense matrices
-(``det_dense`` takes the closed form up to 3 x 3).
-``solve_dense`` is a third such door with no caller in the library: the
-test oracle that inverts coordinate maps (``tests/oracles.py``) solves with
-it, and the benchmark's traced run looks its name up.
+solves with it, Milnor-number colengths read its rank, and ``rank_dense``,
+``det_dense`` and ``adjugate_dense`` are front doors over it for small dense
+matrices.  ``adjugate_dense`` gives an integer matrix's determinant and
+adjugate together, which solves every system on that matrix and on its
+transpose at once: the Newton-polyhedron walk of :mod:`lctlab.lct` takes
+one per candidate basis.  Up to 3 x 3 it is the closed cofactor form,
+from which ``det_dense`` also reads its value, so no such matrix builds an
+eliminator.  ``solve_dense`` is a fourth door with no caller in the
+library: the test oracle that inverts coordinate maps (``tests/oracles.py``)
+solves with it, and the benchmark's traced run looks its name up.
 
 Rows are kept fraction-free (Bareiss, Math. Comp. 22, 1968), with entry
 growth held down by gcds rather than by Bareiss's exact division: a row with
@@ -231,28 +235,71 @@ def rank_dense(matrix) -> int:
     return _dense_rows(matrix).rank
 
 
-def det_dense(matrix):
-    """Exact determinant of a square matrix, as a ``Fraction``.
-
-    Up to 3 x 3 it is the closed form (cofactors along the first row), so
-    the linear part of every coordinate map in up to three variables builds
-    no eliminator.  Larger matrices are eliminated: the determinant is the
-    signed product of the pivots, the sign that of the permutation taking
-    pivot columns, in the order the pivots were found, to the column order.
-    """
-    n = len(matrix)
-    if n < 2:
-        return Fraction(matrix[0][0] if n else 1)
-    if n == 2:
-        (a, b), (c, d) = matrix
-        return Fraction(a * d - b * c)
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = matrix
-        return Fraction(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
-    elim = _dense_rows(matrix)
+def _det_of(elim: SparseEliminator, n: int) -> Fraction:
+    """The determinant of the n rows (or columns) fed to ``elim`` in order:
+    the signed product of the pivots, the sign that of the permutation
+    taking pivot columns, in the order the pivots were found, to the column
+    order."""
     if elim.rank < n:
         return Fraction(0)
     cols = list(elim.pivots)
     inversions = sum(a > b for i, a in enumerate(cols) for b in cols[i + 1 :])
     num = math.prod(a for a, _ in elim._leads)
     return Fraction((-1) ** inversions * num, math.prod(b for _, b in elim._leads))
+
+
+def adjugate_dense(matrix):
+    """``(det, adj)`` of a square integer matrix M, with adj * M == M * adj
+    == det * I: adj is the adjugate of an invertible M, and the zero matrix
+    when M is singular.
+
+    Up to 3 x 3 it is the closed cofactor form, which ``det_dense`` reads its
+    value from and which holds over any exact ring; a singular matrix stops
+    after the first row's cofactors.  Larger matrices are eliminated: one
+    pass over the columns, tagged, finds the determinant as ``det_dense``
+    does and stops at the first dependent column, and one integral solve
+    per unit vector e_i gives column i of adj = det * M^-1.
+    """
+    n = len(matrix)
+    if n == 0:
+        return 1, []
+    if n == 1:
+        a = matrix[0][0]
+        return a, [[1 if a else 0]]
+    if n == 2:
+        (a, b), (c, d) = matrix
+        det = a * d - b * c
+        return det, [[d, -b], [-c, a]] if det else [[0, 0], [0, 0]]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = matrix
+        c00, c01, c02 = e * i - f * h, f * g - d * i, d * h - e * g
+        det = a * c00 + b * c01 + c * c02
+        if not det:
+            return det, [[0] * 3 for _ in range(3)]
+        return det, [[c00, c * h - b * i, b * f - c * e],
+                     [c01, a * i - c * g, c * d - a * f],
+                     [c02, b * g - a * h, a * e - b * d]]
+    elim = SparseEliminator()
+    for k in range(n):
+        if not elim.add_row({i: row[k] for i, row in enumerate(matrix) if row[k]}, tag=k):
+            return 0, [[0] * n for _ in range(n)]
+    det = _det_of(elim, n).numerator
+    adj = [[0] * n for _ in range(n)]
+    for i in range(n):
+        # sum(c_k * column k) == den * e_i: column i of M^-1 is c / den
+        x, den = elim.solve_integral({i: 1})
+        for k, c in x.items():
+            adj[k][i] = det * c // den
+    return det, adj
+
+
+def det_dense(matrix):
+    """Exact determinant of a square matrix, as a ``Fraction``.
+
+    Up to 3 x 3 it is the closed form of :func:`adjugate_dense`, so the
+    linear part of every coordinate map in up to three variables builds no
+    eliminator; larger matrices are eliminated row by row."""
+    n = len(matrix)
+    if n <= 3:
+        return Fraction(adjugate_dense(matrix)[0])
+    return _det_of(_dense_rows(matrix), n)

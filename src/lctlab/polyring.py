@@ -353,15 +353,20 @@ def dot(nvars: int, pairs, order=None) -> Polynomial:
     Each operand is packed once (int numerators over one denominator, rows
     by degree so the cut ends each inner loop); all products go into one
     int accumulator over the lcm of the pair denominators, and keys and
-    exponent tuples are translated through one memoized codec per base."""
+    exponent tuples are translated through one memoized codec per base.
+    An operand in other than ``nvars`` variables raises ``ValueError``
+    before anything is packed into the codec of ``nvars``."""
     cut = order
     if order is None:
-        pairs = [(a, b) for a, b in pairs if a.terms and b.terms]
-        cut = 1 + max([a.total_degree() + b.total_degree() for a, b in pairs], default=0)
+        pairs = list(pairs)
+        cut = 1 + max([a.total_degree() + b.total_degree() for a, b in pairs if a.terms and b.terms],
+                      default=0)
     codec = _codec(_KEY_BASE if cut <= _KEY_BASE else 1 << (cut - 1).bit_length(), nvars)
     base, enc, dec = codec
     packs, den = [], 1
     for a, b in pairs:
+        if a.nvars != nvars or b.nvars != nvars:
+            raise ValueError("nvars mismatch")
         _, da, rowa = a._packed(codec)
         _, db, rowb = b._packed(codec)
         if not rowa or not rowb or rowa[0][0] + rowb[0][0] >= cut:
@@ -579,6 +584,8 @@ def _image_list(images, nvars, what=None):
     if len(out) != nvars:
         raise ValueError(f"expected {nvars} images, got {len(out)}")
     for k, im in enumerate(out):
+        if im.nvars != nvars:
+            raise ValueError(f"{what or 'image'} of x{k + 1} has nvars {im.nvars}, expected {nvars}")
         if what and im.constant_term:
             raise ValueError(f"{what} of x{k + 1} has nonzero constant term")
     return out

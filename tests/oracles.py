@@ -9,6 +9,14 @@ library computes, by a method other than the one it checks:
   visits no vertex, so it is independent of :func:`~lctlab.lct.newton_lct`'s
   vertex solves and of the certificate that checks them.
 
+* :func:`newton_walk_by_solves` walks the same candidate bases as
+  :func:`~lctlab.lct.newton_lct_certificate`, in the same order, but solves
+  each basis's primal and dual systems as two eliminations with two
+  integral solves (:func:`solve_square`), where the library reads both from
+  one adjugate.  :func:`newton_check_fractions` checks a
+  :class:`~lctlab.lct.NewtonWitness` in ``Fraction`` arithmetic, where
+  :meth:`~lctlab.lct.LctCertificate.check` compares integers.
+
 * :func:`minimal_monomials_quadratic` keeps a distinct exponent vector when
   no other distinct one divides it, testing every pair.
   :func:`~lctlab.jacobian._minimal_monomials` walks the vectors by degree and
@@ -36,13 +44,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from lctlab.arcs import _poly_eval_jet
 from lctlab.equiv import CoordinateMap
-from lctlab.jacobian import IdealGens, _mono_divides
-from lctlab.lct import RayValuation
-from lctlab.linalg import solve_dense
+from lctlab.jacobian import IdealGens, _minimal_monomials, _mono_divides
+from lctlab.lct import NewtonWitness, RayValuation
+from lctlab.linalg import SparseEliminator, solve_dense
 from lctlab.polyring import Polynomial, dot, substitute
 
 
@@ -72,6 +81,70 @@ def newton_lct_witness_ray(a: IdealGens, weight_bound: int):
             best = val
             best_ray = ray
     return best, best_ray
+
+
+def solve_square(columns, target):
+    """({k: p_k}, q) with sum(p_k * columns[k]) == q * target and q > 0 the
+    least such denominator, for columns and target given as sparse integer
+    dicts, which the kernel takes as they are; None when the columns are
+    linearly dependent."""
+    elim = SparseEliminator()
+    for k, col in columns.items():
+        if not elim.add_row(col, tag=k):
+            return None
+    return elim.solve_integral(target)
+
+
+def newton_walk_by_solves(a: IdealGens):
+    """(value, NewtonWitness) of the first primal and dual feasible basis of
+    Howald's linear program, each basis solved by two eliminations: the
+    primal system A_S (p / q) = b_S, and on success the dual system
+    A_S^T (lam / den) = (1, ..., 1)."""
+    exps = a.exponents()
+    n = a.nvars
+    gens = sorted(_minimal_monomials(exps))
+    m = len(gens)
+    for basis in combinations(range(m + n), n):
+        rows = [k for k in basis if k < m]
+        fixed = {k - m for k in basis[len(rows):]}
+        free = [i for i in range(n) if i not in fixed]
+        got = solve_square({i: {j: gens[j][i] for j in rows if gens[j][i]} for i in free},
+                           dict.fromkeys(rows, 1))
+        if got is None:
+            continue
+        w, q = got
+        p = tuple(w.get(i, 0) for i in range(n))
+        if min(p) < 0 or any(sum(x * y for x, y in zip(p, v)) < q for v in gens):
+            continue
+        lam, den = solve_square({j: {i: gens[j][i] for i in free if gens[j][i]} for j in rows},
+                                dict.fromkeys(free, 1))
+        if any(c < 0 for c in lam.values()):
+            continue
+        if any(sum(c * gens[j][i] for j, c in lam.items()) > den for i in range(n)):
+            continue
+        g = gcd(*p)
+        return Fraction(sum(p), q), NewtonWitness(
+            ray=RayValuation(tuple(x // g for x in p)),
+            lam=tuple((gens[j], Fraction(c, den)) for j, c in sorted(lam.items())),
+        )
+    raise AssertionError("no basis of the Newton polyhedron is primal and dual feasible")
+
+
+def newton_check_fractions(cert, a: IdealGens) -> bool:
+    """Whether ``cert``, a value with a :class:`~lctlab.lct.NewtonWitness`,
+    certifies the threshold of ``a``: the ray's ratio and sum(lambda) both
+    equal the value, and sum(lambda_j v_j) <= (1, ..., 1) with every
+    lambda_j >= 0 on a generator v_j, all compared as Fractions."""
+    w = cert.witness
+    order = w.ray.ord_ideal(a)
+    if order == 0 or Fraction(w.ray.log_discrepancy(), order) != cert.value:
+        return False
+    gens = set(a.exponents())
+    if any(c < 0 or v not in gens for v, c in w.lam):
+        return False
+    if any(sum(c * v[i] for v, c in w.lam) > 1 for i in range(a.nvars)):
+        return False
+    return sum(c for _, c in w.lam) == cert.value
 
 
 def minimal_monomials_quadratic(exponents):

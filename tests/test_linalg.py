@@ -19,7 +19,14 @@ from lctlab.jacobian import (
     quadratic_form_matrix,
     quadratic_rank,
 )
-from lctlab.linalg import SparseEliminator, _integral, det_dense, rank_dense, solve_dense
+from lctlab.linalg import (
+    SparseEliminator,
+    _integral,
+    adjugate_dense,
+    det_dense,
+    rank_dense,
+    solve_dense,
+)
 from lctlab.polyring import monomials_below, parse_poly, partial_derivative
 from oracles import invert
 
@@ -268,6 +275,43 @@ def test_closed_form_determinants_match_the_eliminator():
         seen[kind] += n > 0 and (kind != "singular" or det == 0)
     assert min(seen.values()) >= 50, seen
     assert det_dense([]) == 1 and type(det_dense([])) is Fraction
+
+
+def leibniz_adjugate(matrix):
+    """adj[i][j] = (-1)^(i+j) times the minor of M without row j and column i."""
+    n = len(matrix)
+    return [[(-1) ** (i + j) * leibniz_det([[row[k] for k in range(n) if k != i]
+                                            for r, row in enumerate(matrix) if r != j])
+             for j in range(n)] for i in range(n)]
+
+
+def test_adjugate_dense_on_seeded_integer_matrices():
+    rng = random.Random(2719)
+    seen = {}
+    for k in range(360):
+        n, singular = k % 6, k // 6 % 3 == 2
+        matrix = [[rng.choice((0, 0, rng.randint(-9, 9), rng.randint(-2**70, 2**70)))
+                   for _ in range(n)] for _ in range(n)]
+        if singular and n:
+            # the last row an integer combination of the others (zero for n = 1)
+            cs = [rng.randint(-3, 3) for _ in range(n - 1)]
+            matrix[-1] = [sum(c * row[j] for c, row in zip(cs, matrix)) for j in range(n)]
+        det, adj = adjugate_dense(matrix)
+        assert type(det) is int and all(type(v) is int for row in adj for v in row)
+        assert det == det_dense(matrix) == leibniz_det(matrix), matrix
+        identity = [[det * (i == j) for j in range(n)] for i in range(n)]
+        assert [[sum(adj[i][k] * matrix[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == identity, matrix
+        assert [[sum(matrix[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == identity, matrix
+        if det:
+            assert adj == leibniz_adjugate(matrix), matrix
+        else:
+            assert adj == [[0] * n for _ in range(n)], matrix
+        seen[n, bool(det)] = seen.get((n, bool(det)), 0) + 1
+    for n in range(1, 6):
+        assert seen[n, True] >= 10 and seen[n, False] >= 10, seen
+    assert adjugate_dense([]) == (1, []) and det_dense([]) == 1
 
 
 @pytest.mark.parametrize(

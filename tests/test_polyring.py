@@ -828,6 +828,23 @@ def test_dot_cancels_to_the_zero_polynomial():
     assert dot(2, [], 5).terms == {} and dot(2, [], None).terms == {}
 
 
+def test_products_across_numbers_of_variables_are_refused():
+    # a 2-variable operand packed into the 1-variable codec would also
+    # corrupt the codec's tables for every later 1-variable product
+    f = P("x^2 + x^3", 1)
+    with pytest.raises(ValueError, match="image of x1 has nvars 2, expected 1"):
+        substitute(f, [P("x + y", 2)], 5)
+    with pytest.raises(ValueError, match="shift of x1 has nvars 2"):
+        substitute_shifted(f, [P("x*y", 2)], 5)
+    for order in (6, None):
+        with pytest.raises(ValueError, match="nvars mismatch"):
+            P("x + 1", 1).mul_truncated(P("x*y", 2), order)
+        with pytest.raises(ValueError, match="nvars mismatch"):
+            dot(1, [(P("x", 1), P("x", 1)), (P("y^3", 2), P("x", 2))], order)
+    assert substitute(f, [P("x + x^2", 1)], 5).poly == P("x^2 + 3*x^3 + 4*x^4", 1)
+    assert P("x + 1", 1).mul_truncated(P("x^3", 1), 6) == P("x^4 + x^3", 1)
+
+
 def test_sums_normalize_integral_fractions():
     half = P("1/2*x + 1/3*y", 2)
     assert _typed(half + half) == {(1, 0): (int, 1), (0, 1): (Fraction, Fraction(2, 3))}
