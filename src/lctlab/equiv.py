@@ -104,7 +104,7 @@ class CoordinateMap:
     automorphism criterion for formal coordinate changes.
     """
 
-    __slots__ = ("nvars", "images", "order")
+    __slots__ = ("nvars", "images", "order", "_shifts")
 
     def __init__(self, images, order: int):
         if order < 2:
@@ -120,9 +120,12 @@ class CoordinateMap:
                 raise ValueError("image nvars mismatch")
             if im.constant_term:
                 raise ValueError("map images must have zero constant term")
+        if len(images) != nvars:
+            raise ValueError(f"a map in {nvars} variables needs {nvars} images, got {len(images)}")
         self.nvars = nvars
         self.images = images
         self.order = order
+        self._shifts = None  # image_i - x_i, kept by the maps ``shift`` builds
         if not self.jacobian_at_zero():
             raise ValueError("map is not an automorphism: Jacobian vanishes at 0")
 
@@ -136,9 +139,12 @@ class CoordinateMap:
 
     @classmethod
     def shift(cls, shifts, order: int) -> "CoordinateMap":
-        """The map x_i -> x_i + g_i for shifts of multiplicity >= 2."""
+        """The map x_i -> x_i + g_i for shifts of multiplicity >= 2.  It keeps
+        the shifts mod m^order, which :meth:`then` reads."""
         gs = _image_list(shifts, len(shifts))
-        return cls([Polynomial.variable(g.nvars, i) + g for i, g in enumerate(gs, start=1)], order)
+        cmap = cls([Polynomial.variable(g.nvars, i) + g for i, g in enumerate(gs, start=1)], order)
+        cmap._shifts = [g.truncate(order) for g in gs]
+        return cmap
 
     @classmethod
     def linear(cls, matrix, order: int) -> "CoordinateMap":
@@ -166,13 +172,13 @@ class CoordinateMap:
 
         ``self.then(other).apply(f) == other-substitution of self.apply(f)``.
         Each image of self is Taylor-expanded along the shifts
-        ``other.images[i] - x_i``.
+        ``other.images[i] - x_i``, which a map built by :meth:`shift` keeps.
         """
         order = min(self.order, other.order)
         n = self.nvars
-        shifts = [
-            other.images[i].poly - Polynomial.variable(n, i + 1) for i in range(n)
-        ]
+        shifts = other._shifts
+        if shifts is None:
+            shifts = [other.images[i].poly - Polynomial.variable(n, i + 1) for i in range(n)]
         powers = _Powers(_image_list(shifts, n, "shift"), order)  # one g^alpha cache for all n
         images = [_taylor_shift(im.poly, powers) for im in self.images]
         return CoordinateMap(images, order)

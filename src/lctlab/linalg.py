@@ -46,11 +46,17 @@ from fractions import Fraction
 
 def _integral(row: dict):
     """(nonzero entries of ``row`` as ints, the positive lcm they were
-    multiplied by); an all-int row passes through unscaled."""
-    den = 1
+    multiplied by).  A row of nonzero ints is returned as it came, not
+    copied, so the eliminator never writes to what it returns."""
+    den, clean = 1, True
     for v in row.values():
         if type(v) is not int:
             den = math.lcm(den, v.denominator)
+            clean = False
+        elif not v:
+            clean = False
+    if clean:
+        return row, 1
     if den == 1:
         return {k: int(v) for k, v in row.items() if v}, 1
     return {k: v.numerator * (den // v.denominator) for k, v in row.items() if v}, den
@@ -95,12 +101,14 @@ class SparseEliminator:
     def _reduce(self, row: dict, steps=None):
         """(residue, scale): ``scale * row`` minus integer multiples of the
         pivot rows, with no entry left in a pivot column; ``row`` is an int
-        row and is consumed.  For each pivot used, (column, multiple) is
-        appended to ``steps``, if given, with the multiples taken against
-        the final scale."""
+        row and is never written to: the first reduction works on a copy,
+        and a row that meets no pivot is returned as it came.  For each
+        pivot used, (column, multiple) is appended to ``steps``, if given,
+        with the multiples taken against the final scale."""
         pivots = self.pivots
         muls = [] if steps is not None else None
         scale = 1
+        own = False  # whether ``row`` is a copy this call may write to
         while row:
             hit = None
             for col in row:
@@ -115,6 +123,10 @@ class SparseEliminator:
             if m != 1:
                 row = {c: m * v for c, v in row.items()}
                 scale *= m
+                own = True
+            elif not own:
+                row = dict(row)
+                own = True
             if muls is not None:
                 steps.append((hit, a))
                 muls.append(m)
@@ -135,9 +147,9 @@ class SparseEliminator:
 
     def add_row(self, row: dict, tag=None) -> bool:
         """Insert a row; returns True if it increased the rank."""
-        row, den = _integral(row)
+        ints, den = _integral(row)
         steps = None if tag is None else []
-        red, scale = self._reduce(row, steps)
+        red, scale = self._reduce(ints, steps)
         if not red:
             return False
         content = math.gcd(*red.values())
@@ -147,6 +159,8 @@ class SparseEliminator:
         if red[pivot] < 0:
             red = {c: -v for c, v in red.items()}
             content = -content
+        if red is row:  # passed through, met no pivot and needed no rescaling
+            red = dict(red)
         # the residue over Q is content * red / (scale * den)
         scale *= den
         self.pivots[pivot] = red

@@ -24,9 +24,13 @@ enumerator, :func:`monomials_below`, with products ``g^alpha`` of a series
 tuple from one memoized power cache, :class:`_Powers`.  Each product is
 built only to the precision at which it is read: ``g^alpha`` paired with a
 factor of multiplicity m in a sum cut at m^N is asked for mod m^(N - m), and
-built from ``g^(alpha - e_i)`` mod m^(N - m - mult g_i).  A substitution
-along images tangent to the identity, x_i + h_i, is the Taylor expansion
-along the shifts h; other linear parts compose through the image powers.
+built from ``g^(alpha - e_i)`` mod m^(N - m - mult g_i), and ``g^(e_i)`` is
+g_i itself, with no product by 1.  A substitution along images tangent to
+the identity, x_i + h_i, is the Taylor expansion along the shifts h; other
+linear parts compose through the image powers.  What the composition
+already knows is kept: each polynomial records a cut below which its terms
+lie, so re-truncating at or above it costs nothing, and :func:`dot` skips a
+pair with a zero operand before packing it.
 
 Printing is canonical: terms are ordered by graded reverse lexicographic
 order (highest degree first), so equal polynomials always print identically
@@ -86,10 +90,17 @@ class Polynomial:
     """Sparse exact-rational polynomial in ``nvars`` variables.
 
     Immutable by convention: no method mutates ``terms`` after construction,
-    so values are safe to share across threads.
+    so values are safe to share across threads.  Three facts are cached on
+    first use, and each describes the terms without changing them, so
+    sharing stays safe (two threads can only both record a true fact): the
+    multiplicity ``_mult``; the packing ``_pack`` that :func:`dot` reads;
+    and the cut ``_cut``, a degree that every term lies below.  :func:`dot`
+    records its cut and :meth:`truncate` its order, also when nothing was
+    cut; sums and negations carry it; a truncation at or above it returns
+    the polynomial itself without reading a term.
     """
 
-    __slots__ = ("nvars", "terms", "_mult", "_pack")
+    __slots__ = ("nvars", "terms", "_mult", "_pack", "_cut")
 
     def __init__(self, nvars: int, terms: Mapping):
         if nvars < 1:
@@ -101,13 +112,14 @@ class Polynomial:
             c = _norm_coeff(coeff)
             if c:
                 clean[tuple(mono)] = c
-        self.nvars, self.terms, self._mult, self._pack = nvars, clean, None, None
+        self.nvars, self.terms, self._mult, self._pack, self._cut = nvars, clean, None, None, None
 
     @classmethod
-    def _make(cls, nvars: int, terms: dict) -> "Polynomial":
-        """Wrap clean terms (nonzero ints and non-integral Fractions) unchecked."""
+    def _make(cls, nvars: int, terms: dict, cut=None) -> "Polynomial":
+        """Wrap clean terms (nonzero ints and non-integral Fractions) unchecked;
+        ``cut``, if given, is a degree every term lies below."""
         p = object.__new__(cls)
-        p.nvars, p.terms, p._mult, p._pack = nvars, terms, None, None
+        p.nvars, p.terms, p._mult, p._pack, p._cut = nvars, terms, None, None, cut
         return p
 
     # ------------------------------------------------------------------
@@ -162,8 +174,17 @@ class Polynomial:
         )
 
     def truncate(self, order: int) -> "Polynomial":
+        """The terms of degree < order: ``self`` when that cuts nothing,
+        which it records as its cut, so a truncation at or above the cut
+        returns ``self`` without a scan."""
+        cut = self._cut
+        if cut is not None and order >= cut:
+            return self
         kept = {m: c for m, c in self.terms.items() if sum(m) < order}
-        return self if len(kept) == len(self.terms) else Polynomial._make(self.nvars, kept)
+        if len(kept) < len(self.terms):
+            return Polynomial._make(self.nvars, kept, order)
+        self._cut = order
+        return self
 
     def variables_used(self):
         used = set()
@@ -193,7 +214,7 @@ class Polynomial:
         return hash((self.nvars, frozenset(terms.items())))
 
     def __neg__(self):
-        return Polynomial._make(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Polynomial._make(self.nvars, {m: -c for m, c in self.terms.items()}, self._cut)
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
@@ -216,7 +237,8 @@ class Polynomial:
                 out[m] = s if type(s) is int or s.denominator != 1 else s.numerator
             elif v is not None:
                 del out[m]
-        return Polynomial._make(self.nvars, out)
+        cut = None if self._cut is None or other._cut is None else max(self._cut, other._cut)
+        return Polynomial._make(self.nvars, out, cut)
 
     __radd__ = __add__
 
@@ -354,8 +376,9 @@ def dot(nvars: int, pairs, order=None) -> Polynomial:
     by degree so the cut ends each inner loop); all products go into one
     int accumulator over the lcm of the pair denominators, and keys and
     exponent tuples are translated through one memoized codec per base.
-    An operand in other than ``nvars`` variables raises ``ValueError``
-    before anything is packed into the codec of ``nvars``."""
+    A pair with a zero operand is skipped before packing, and the output
+    records the cut.  An operand in other than ``nvars`` variables raises
+    ``ValueError`` before anything is packed into the codec of ``nvars``."""
     cut = order
     if order is None:
         pairs = list(pairs)
@@ -367,8 +390,11 @@ def dot(nvars: int, pairs, order=None) -> Polynomial:
     for a, b in pairs:
         if a.nvars != nvars or b.nvars != nvars:
             raise ValueError("nvars mismatch")
-        _, da, rowa = a._packed(codec)
-        _, db, rowb = b._packed(codec)
+        if not a.terms or not b.terms:
+            continue
+        pa, pb = a._pack, b._pack
+        _, da, rowa = pa if pa is not None and pa[0] == base else a._packed(codec)
+        _, db, rowb = pb if pb is not None and pb[0] == base else b._packed(codec)
         if not rowa or not rowb or rowa[0][0] + rowb[0][0] >= cut:
             continue
         # the shorter operand below the cut runs the outer loop
@@ -406,7 +432,7 @@ def dot(nvars: int, pairs, order=None) -> Polynomial:
                 q, r = divmod(v, den)
                 v = Fraction(v, den) if r else q
             terms[mono] = v
-    return Polynomial._make(nvars, terms)
+    return Polynomial._make(nvars, terms, cut)
 
 
 class TruncatedSeries:
@@ -596,7 +622,8 @@ class _Powers:
 
     ``get(alpha, order)`` is ``g^alpha`` mod m^order (the cache's own order
     by default), built from ``g^(alpha - e_i)`` mod m^(order - mult g_i)
-    times g_i, with i the first nonzero index of alpha.  That is exact,
+    times g_i, with i the first nonzero index of alpha; ``g^(e_i)`` is g_i
+    mod m^order, with no product.  That is exact,
     because g_i has multiplicity at least mult g_i, so each product is built
     only to the precision at which it is read.  The memo keeps each alpha at
     the highest precision built so far; a request at that precision or below
@@ -619,8 +646,11 @@ class _Powers:
         if hit is not None and hit[0] >= order:
             return hit[1]
         i = next(k for k, a in enumerate(alpha) if a)
-        prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
-        val = self.get(prev, order - self.mults[i]).mul_truncated(self.gs[i], order)
+        if sum(alpha) == 1:  # g^(e_i) is g_i itself, no product with 1
+            val = self.gs[i].truncate(order)
+        else:
+            prev = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+            val = self.get(prev, order - self.mults[i]).mul_truncated(self.gs[i], order)
         self.cache[alpha] = (order, val)
         return val
 

@@ -38,6 +38,11 @@ library computes, by a method other than the one it checks:
   composes by Taylor shifts over a shared power cache instead, so a round
   trip ``cmap.then(invert(cmap))`` that gives the identity checks one route
   against the other.
+
+* :func:`truncate_by_scan` keeps the terms of degree below the order by
+  reading every term.  :meth:`~lctlab.polyring.Polynomial.truncate` reads
+  the cut a polynomial records instead, and returns it whole at or above
+  that cut.
 """
 
 from __future__ import annotations
@@ -234,3 +239,9 @@ def invert(cmap: CoordinateMap) -> CoordinateMap:
         if im.poly != Polynomial.variable(n, i):
             raise AssertionError("map inversion failed to verify")
     return result
+
+
+def truncate_by_scan(p: Polynomial, order) -> Polynomial:
+    """``p`` without its terms of degree >= order, reading every term, in
+    the order of ``p``'s terms."""
+    return Polynomial(p.nvars, {m: c for m, c in p.terms.items() if sum(m) < order})

@@ -124,6 +124,51 @@ def test_then_shares_one_power_cache_across_images():
     assert non_identity >= 10
 
 
+def _typed_terms(p):
+    return [(m, type(c), c) for m, c in p.terms.items()]
+
+
+def test_then_along_a_shift_map_reads_its_shifts():
+    # the shifts a shift map keeps against the same map built from its
+    # images, which keeps none and subtracts x_i back out of each image
+    rng = random.Random(7717)
+    seen = {"zero shift": 0, "terms at or above the order": 0, "orders differ": 0, "Fraction": 0}
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        order = rng.randint(2, 10)
+        shifts = []
+        for _ in range(n):
+            terms = {}
+            for _ in range(0 if rng.random() < 0.2 else rng.randint(1, 4)):
+                mono = [0] * n
+                for _ in range(rng.randint(2, 12)):
+                    mono[rng.randrange(n)] += 1
+                terms[tuple(mono)] = rng.choice((-3, -1, 1, 2, Fraction(-1, 2), Fraction(5, 3)))
+            shifts.append(Polynomial(n, terms))
+        shift_map = CoordinateMap.shift(shifts, order)
+        plain = CoordinateMap([im.poly for im in shift_map.images], order)
+        assert plain._shifts is None
+        for i, (g, kept, im) in enumerate(zip(shifts, shift_map._shifts, plain.images), start=1):
+            assert kept == g.truncate(order) == im.poly - Polynomial.variable(n, i)
+        for first in (_random_map(rng, n, rng.randint(3, 10)), shift_map):
+            got, want = first.then(shift_map), first.then(plain)
+            assert got.order == want.order
+            for a, b in zip(got.images, want.images):
+                assert _typed_terms(a.poly) == _typed_terms(b.poly)
+            seen["orders differ"] += first.order != order
+        seen["zero shift"] += any(g.is_zero() for g in shifts)
+        seen["terms at or above the order"] += any(sum(m) >= order for g in shifts for m in g.terms)
+        seen["Fraction"] += any(type(c) is Fraction for g in shifts for c in g.terms.values())
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("nimages, nvars", [(2, 3), (3, 2), (5, 4)])
+def test_a_map_needs_one_image_per_variable(nimages, nvars):
+    images = [Polynomial.variable(nvars, 1 + k % nvars) for k in range(nimages)]
+    with pytest.raises(ValueError, match=f"in {nvars} variables needs {nvars} images, got {nimages}"):
+        CoordinateMap(images, 6)
+
+
 def test_verify_map_examples():
     ident = CoordinateMap.identity(1, 8)
     assert verify_map(P("x^2", 1), TruncatedSeries(P("x^2", 1), 8), ident) == (

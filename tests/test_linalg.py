@@ -671,3 +671,33 @@ def test_membership_rows_and_witnesses_match_the_replaced_loop(case):
     assert [list(c.poly.terms.items()) for c in got.coefficients] == [
         list(Polynomial(a.nvars, t).terms.items()) for t in per_gen
     ]
+
+
+def test_the_caller_s_rows_are_neither_written_nor_kept():
+    # rows of nonzero ints pass into the eliminator uncopied: one that meets
+    # no pivot, one reduced with multiple 1, one rescaled, one with a zero
+    # entry, one with a Fraction, one stored primitive and one negated
+    rng = random.Random(1423)
+    fixed = [{0: 1, 1: 2}, {7: 1, 8: 3}, {0: 3, 2: 1}, {0: 2, 1: 1, 3: 5}, {4: 0, 5: 2, 6: 4},
+             {1: Fraction(1, 2), 9: 1}, {9: -1, 10: 2}]
+    cases = [fixed] + [[{c: rng.choice((-3, -2, -1, 0, 1, 2, 3, Fraction(1, 3)))
+                        for c in rng.sample(range(6), rng.randint(1, 4))} for _ in range(rng.randint(2, 7))]
+                       for _ in range(40)]
+    for rows in cases:
+        elim, copies = SparseEliminator(), SparseEliminator()
+        for k, row in enumerate(rows):
+            before = list(row.items())
+            assert elim.add_row(row, tag=k) == copies.add_row(dict(row), tag=k)
+            assert list(row.items()) == before
+        targets = [dict(rows[0]), {c: v + 1 for c, v in rows[-1].items()}, {0: 1, 11: 1}]
+        for target in targets:
+            before = list(target.items())
+            assert elim.solve_integral(target) == copies.solve_integral(dict(target))
+            assert list(target.items()) == before
+        pivots = {col: dict(piv) for col, piv in elim.pivots.items()}
+        assert pivots == copies.pivots
+        for row in rows + targets:
+            for c in list(row):
+                row[c] = 97
+            row[12] = 5
+        assert elim.pivots == pivots

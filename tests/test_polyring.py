@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lctlab import polyring
+from oracles import truncate_by_scan
 from lctlab.polyring import (
     DEFAULT_ORDER,
     MultiplicityBound,
@@ -849,3 +850,92 @@ def test_sums_normalize_integral_fractions():
     half = P("1/2*x + 1/3*y", 2)
     assert _typed(half + half) == {(1, 0): (int, 1), (0, 1): (Fraction, Fraction(2, 3))}
     assert (half - half).terms == {}
+
+
+# A polynomial records a cut below which its terms lie, and a power cache
+# answers g^(e_i) with g_i itself: both against the slow paths they replace.
+
+
+def _cut_corpus(seed):
+    """Products with and without a cut, their sums and negations,
+    truncations of all of these, and polynomials built term by term, which
+    record no cut; Fraction coefficients among them."""
+    rng = random.Random(seed)
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        a, b, c = (_random_poly(rng, n, rng.randint(0, 5), 0, 5) for _ in range(3))
+        order = rng.randint(1, 9)
+        cut, exact = dot(n, [(a, b)], order), dot(n, [(a, c), (b, c)])
+        assert cut._cut == order
+        pool = [a, cut, exact, cut + exact, exact + a, -cut, -(cut + exact), cut - exact]
+        pool += [p.truncate(rng.randint(0, 8)) for p in pool]
+        pool.append(pool[-1].truncate(rng.randint(0, 8)))
+        yield from pool
+
+
+def test_truncate_at_every_order_matches_the_scan():
+    rng = random.Random(6007)
+    seen = {"below the cut": 0, "at or above the cut": 0, "no cut": 0, "cut something": 0}
+    for p in _cut_corpus(4421):
+        top = max(map(sum, p.terms), default=0)
+        assert p._cut is None or all(sum(m) < p._cut for m in p.terms), (p, p._cut)
+        orders = list(range(-1, top + 3))
+        rng.shuffle(orders)  # a cut one call records is read by the next
+        for k in orders:
+            recorded = p._cut
+            got = p.truncate(k)
+            assert _listed(got) == _listed(truncate_by_scan(p, k)), (p, k, recorded)
+            assert got._cut is not None and all(sum(m) < got._cut for m in got.terms)
+            if recorded is None:
+                seen["no cut"] += 1
+            elif k < recorded:
+                seen["below the cut"] += 1
+            else:
+                assert got is p
+                seen["at or above the cut"] += 1
+            seen["cut something"] += len(got.terms) < len(p.terms)
+    assert min(seen.values()) >= 25, seen
+
+
+def test_powers_build_no_product_for_a_unit_exponent(monkeypatch):
+    real_dot, calls = polyring.dot, []
+
+    def counting_dot(*args):
+        calls.append(args)
+        return real_dot(*args)
+
+    rng = random.Random(2207)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        order = rng.randint(2, 9)
+        gs = _image_list(_random_series_tuple(rng, n), n)
+        for i, g in enumerate(gs):
+            unit = tuple(int(k == i) for k in range(n))
+            for prec in (None, order + 2, *range(order, -2, -1)):
+                powers = _Powers(gs, order)
+                monkeypatch.setattr(polyring, "dot", counting_dot)
+                got = powers.get(unit, prec)
+                square = powers.get(tuple(2 * e for e in unit), prec)
+                monkeypatch.setattr(polyring, "dot", real_dot)
+                assert len(calls) == 1, (g, prec)  # the square's product only
+                calls.clear()
+                cut = order if prec is None else min(prec, order)
+                assert got == Polynomial.constant(n, 1).mul_truncated(g, cut)
+                assert square == g.mul_truncated(g, cut)
+
+
+def test_dot_packs_no_zero_operand_and_packs_each_operand_once(monkeypatch):
+    a, b = P("x + 1/2*x*y^2 - 3*y^3", 2), P("2*y - x^2*y", 2)
+    zero = Polynomial.zero(2)
+    assert dot(2, [(a, zero), (zero, b), (zero, zero)], 6).terms == {}
+    assert a._pack is None and b._pack is None and zero._pack is None
+    want = a.mul_truncated(b, 6)
+    packed = []
+    real = Polynomial._packed
+    monkeypatch.setattr(Polynomial, "_packed", lambda p, codec: packed.append(p) or real(p, codec))
+    assert _listed(dot(2, [(a, b), (zero, a)], 6)) == _listed(want)
+    assert _listed(dot(2, [(b, a)], 4)) == _listed(a.mul_truncated(b, 4))
+    assert packed == []  # both packings were kept from the first product
+    c = Polynomial(2, {(1, 1): 1})
+    dot(2, [(c, a)], None)
+    assert packed == [c]
