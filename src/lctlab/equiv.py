@@ -61,9 +61,13 @@ from .polyring import (
     Polynomial,
     TruncatedSeries,
     _image_list,
+    _linear_part,
+    _mat_mul,
+    _newton_inverse,
     _norm_coeff,
     _Powers,
     _taylor_shift,
+    _unit_exponents,
     divided_power,
     dot,
     monomials_below,
@@ -99,9 +103,10 @@ def _as_series(f, order):
 class CoordinateMap:
     """A substitution x_i -> image_i defining a local automorphism mod m^N.
 
-    Images have zero constant term and the linear parts form an invertible
-    matrix (unit Jacobian determinant at the origin), which is exactly the
-    automorphism criterion for formal coordinate changes.
+    Images obey :func:`_image_list` (one per variable, zero constant term),
+    a series image is known at least mod m^N, and the linear parts form an
+    invertible matrix (unit Jacobian determinant at the origin), which is
+    exactly the automorphism criterion for formal coordinate changes.
     """
 
     __slots__ = ("nvars", "images", "order", "_shifts")
@@ -111,19 +116,13 @@ class CoordinateMap:
             raise ValueError(
                 f"a coordinate map needs order >= 2, got {order}: mod m^1 every image is 0"
             )
-        images = tuple(_as_series(im, order) for im in images)
-        if not images:
-            raise ValueError("a map needs at least one image")
-        nvars = images[0].nvars
-        for im in images:
-            if im.nvars != nvars:
-                raise ValueError("image nvars mismatch")
-            if im.constant_term:
-                raise ValueError("map images must have zero constant term")
-        if len(images) != nvars:
-            raise ValueError(f"a map in {nvars} variables needs {nvars} images, got {len(images)}")
-        self.nvars = nvars
-        self.images = images
+        images = tuple(images)
+        polys = _image_list(images)
+        for k, im in enumerate(images, start=1):
+            if isinstance(im, TruncatedSeries) and im.order < order:
+                raise ValueError(f"image of x{k} is known mod m^{im.order}, below the map's order {order}")
+        self.nvars = len(polys)
+        self.images = tuple(TruncatedSeries(p, order) for p in polys)
         self.order = order
         self._shifts = None  # image_i - x_i, kept by the maps ``shift`` builds
         if not self.jacobian_at_zero():
@@ -141,7 +140,7 @@ class CoordinateMap:
     def shift(cls, shifts, order: int) -> "CoordinateMap":
         """The map x_i -> x_i + g_i for shifts of multiplicity >= 2.  It keeps
         the shifts mod m^order, which :meth:`then` reads."""
-        gs = _image_list(shifts, len(shifts))
+        gs = _image_list(shifts, what="shift")
         cmap = cls([Polynomial.variable(g.nvars, i) + g for i, g in enumerate(gs, start=1)], order)
         cmap._shifts = [g.truncate(order) for g in gs]
         return cmap
@@ -150,15 +149,16 @@ class CoordinateMap:
     def linear(cls, matrix, order: int) -> "CoordinateMap":
         """x_i -> sum_j matrix[i][j] * x_j (matrix must be invertible)."""
         n = len(matrix)
-        units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        if any(len(row) != n for row in matrix):
+            widths = "/".join(str(w) for w in sorted({len(row) for row in matrix}))
+            raise ValueError(f"a linear map needs a square matrix, got shape {n}x{widths}")
+        units = _unit_exponents(n)
         return cls([Polynomial(n, dict(zip(units, row))) for row in matrix], order)
 
     # queries ---------------------------------------------------------------
 
     def linear_part(self):
-        # n lookups per image, not a walk over its terms: every map checks this
-        units = [tuple(int(k == j) for k in range(self.nvars)) for j in range(self.nvars)]
-        return [[im.poly.terms.get(u, 0) for u in units] for im in self.images]
+        return _linear_part([im.poly for im in self.images])
 
     def jacobian_at_zero(self):
         return det_dense(self.linear_part())
@@ -175,11 +175,11 @@ class CoordinateMap:
         ``other.images[i] - x_i``, which a map built by :meth:`shift` keeps.
         """
         order = min(self.order, other.order)
-        n = self.nvars
+        n = other.nvars
         shifts = other._shifts
         if shifts is None:
             shifts = [other.images[i].poly - Polynomial.variable(n, i + 1) for i in range(n)]
-        powers = _Powers(_image_list(shifts, n, "shift"), order)  # one g^alpha cache for all n
+        powers = _Powers(_image_list(shifts, self.nvars, "shift"), order)  # one g^alpha cache for all n
         images = [_taylor_shift(im.poly, powers) for im in self.images]
         return CoordinateMap(images, order)
 
@@ -191,9 +191,11 @@ class CoordinateMap:
 def verify_map(f, target, cmap: CoordinateMap, order=None):
     """Exact check that substituting along cmap sends f to target mod m^N.
 
-    Returns ``(True, None)`` or ``(False, first_differing_degree)``.
+    Returns ``(True, None)`` or ``(False, first_differing_degree)``; refuses an order above cmap's.
     """
     n = cmap.order if order is None else order
+    if n > cmap.order:
+        raise ValueError(f"verify_map at order {n} reads past the map's order {cmap.order}")
     image = cmap.apply(f, n)
     tgt = _as_series(target, n)
     diff = image.poly - tgt.poly
@@ -204,33 +206,6 @@ def verify_map(f, target, cmap: CoordinateMap, order=None):
 
 # ----------------------------------------------------------------------
 # the Jacobian-square absorption iteration
-
-
-def _mat_mul(X, Y, order):
-    """X * Y for square matrices of polynomials, truncated below m^order:
-    one :func:`dot` per entry, over a row of X and a column of Y."""
-    nvars = X[0][0].nvars
-    cols = list(zip(*Y))
-    return [[dot(nvars, zip(row, col), order) for col in cols] for row in X]
-
-
-def _newton_inverse(E, order):
-    """(I + E)^-1 mod m^order for a matrix of polynomials with mult(E) >= 1.
-
-    Newton doubling: X correct mod m^k gives X(2I - (I+E)X) = X + X*R with
-    R = I - (I+E)X correct mod m^(2k), so every pass runs at its own
-    precision only (the matrix form of ``series_inverse``).
-    """
-    n, nvars = len(E), E[0][0].nvars
-    ident = [[Polynomial.constant(nvars, int(i == j)) for j in range(n)] for i in range(n)]
-    X, prec = ident, 1
-    while prec < order:
-        prec = min(2 * prec, order)
-        EX = _mat_mul([[e.truncate(prec) for e in row] for row in E], X, prec)
-        R = [[ident[i][j] - X[i][j] - EX[i][j] for j in range(n)] for i in range(n)]
-        XR = _mat_mul(X, R, prec)
-        X = [[X[i][j] + XR[i][j] for j in range(n)] for i in range(n)]
-    return X
 
 
 def _witness_matrix(f: Polynomial, g_witness):

@@ -598,23 +598,35 @@ def monomials_below(weights, bound):
     return out
 
 
-def _image_list(images, nvars, what=None):
-    out = []
-    for im in images:
-        if isinstance(im, TruncatedSeries):
-            out.append(im.poly)
-        elif isinstance(im, Polynomial):
-            out.append(im)
-        else:
-            raise TypeError("images must be Polynomial or TruncatedSeries")
+def _image_list(images, nvars=None, what="image"):
+    """The polynomials of a map's images or shifts (``what``), a series read as
+    its polynomial: one Polynomial or series per variable, each in ``nvars``
+    variables (None: those of the first) and with zero constant term."""
+    out = [im.poly if isinstance(im, TruncatedSeries) else im for im in images]
+    if not all(isinstance(im, Polynomial) for im in out):
+        raise TypeError(f"{what}s must be Polynomial or TruncatedSeries")
+    if nvars is None:
+        if not out:
+            raise ValueError(f"a map needs at least one {what}")
+        nvars = out[0].nvars
     if len(out) != nvars:
-        raise ValueError(f"expected {nvars} images, got {len(out)}")
-    for k, im in enumerate(out):
+        raise ValueError(f"a map in {nvars} variables needs {nvars} {what}s, got {len(out)}")
+    for k, im in enumerate(out, start=1):
         if im.nvars != nvars:
-            raise ValueError(f"{what or 'image'} of x{k + 1} has nvars {im.nvars}, expected {nvars}")
-        if what and im.constant_term:
-            raise ValueError(f"{what} of x{k + 1} has nonzero constant term")
+            raise ValueError(f"{what} of x{k} has nvars {im.nvars}, expected {nvars}")
+        if im.constant_term:
+            raise ValueError(f"{what} of x{k} has nonzero constant term")
     return out
+
+
+def _unit_exponents(nvars):  # of x_1, ..., x_nvars: the rows of the identity matrix
+    return [tuple(int(k == j) for k in range(nvars)) for j in range(nvars)]
+
+
+def _linear_part(polys):
+    """Row i: the coefficients of x_1, ..., x_n in polys[i], by n lookups, not a walk."""
+    units = _unit_exponents(polys[0].nvars)
+    return [[p.terms.get(u, 0) for u in units] for p in polys]
 
 
 class _Powers:
@@ -655,14 +667,12 @@ class _Powers:
         return val
 
 
-def _shifts_of_tangent(imgs, nvars):
-    """The shifts h_i of images x_i + h_i whose linear part is the identity,
-    or None for any other linear part."""
-    units = [tuple(int(k == i) for k in range(nvars)) for i in range(nvars)]
-    for im, unit in zip(imgs, units):
-        if {m: c for m, c in im.terms.items() if sum(m) == 1} != {unit: 1}:
-            return None
-    return [im - Polynomial._make(nvars, {unit: 1}) for im, unit in zip(imgs, units)]
+def _series_args(f, images, order, what):
+    """f as a polynomial, its images by :func:`_image_list`, the order capped by f's."""
+    if isinstance(f, TruncatedSeries):
+        order = min(order, f.order)
+        f = f.poly
+    return f, _image_list(images, f.nvars, what), order
 
 
 def substitute(f, images, order: int = DEFAULT_ORDER) -> TruncatedSeries:
@@ -683,12 +693,10 @@ def substitute(f, images, order: int = DEFAULT_ORDER) -> TruncatedSeries:
     alpha below the degree of f, and verifying ``morsify``'s maps by Taylor
     alone took 1.5 to 4.5 times as long.
     """
-    if isinstance(f, TruncatedSeries):
-        order = min(order, f.order)
-        f = f.poly
-    imgs = _image_list(images, f.nvars, "image")
-    shifts = _shifts_of_tangent(imgs, f.nvars)
-    if shifts is not None:
+    f, imgs, order = _series_args(f, images, order, "image")
+    units = _unit_exponents(f.nvars)
+    if _linear_part(imgs) == [list(u) for u in units]:  # tangent to the identity: x_i + h_i
+        shifts = [im - Polynomial._make(f.nvars, {u: 1}) for im, u in zip(imgs, units)]
         return _taylor_shift(f, _Powers(shifts, order))
     return _substitute_powers(f, imgs, order)
 
@@ -697,10 +705,9 @@ def _substitute_powers(f: Polynomial, imgs, order: int) -> TruncatedSeries:
     """The power path of :func:`substitute`: one :func:`dot` of the
     coefficients of f against the image powers ``image^mono``."""
     n = f.nvars
-    mults = [im.multiplicity() for im in imgs]
     powers = _Powers(imgs, order)
     pairs = [(Polynomial._make(n, {(0,) * n: c}), powers.get(mono)) for mono, c in f.terms.items()
-             if sum(e * m for e, m in zip(mono, mults) if e) < order]
+             if sum(map(int.__mul__, mono, powers.mults)) < order]
     return TruncatedSeries(dot(n, pairs, order), order)
 
 
@@ -713,10 +720,8 @@ def substitute_shifted(f, shifts, order: int = DEFAULT_ORDER) -> TruncatedSeries
     with ``g^alpha`` from one :class:`_Powers` cache.  This is much cheaper
     than generic substitution when the shifts have high multiplicity.
     """
-    if isinstance(f, TruncatedSeries):
-        order = min(order, f.order)
-        f = f.poly
-    return _taylor_shift(f, _Powers(_image_list(shifts, f.nvars, "shift"), order))
+    f, gs, order = _series_args(f, shifts, order, "shift")
+    return _taylor_shift(f, _Powers(gs, order))
 
 
 def _taylor_shift(f: Polynomial, powers: _Powers) -> TruncatedSeries:
@@ -767,23 +772,41 @@ def series_sqrt(s: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(total, order)
 
 
-def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
-    """Reciprocal of a unit series (nonzero constant term), by Newton iteration.
+def _mat_mul(X, Y, order):
+    """X * Y for square matrices of polynomials, truncated below m^order:
+    one :func:`dot` per entry, over a row of X and a column of Y."""
+    nvars = X[0][0].nvars
+    cols = list(zip(*Y))
+    return [[dot(nvars, zip(row, col), order) for col in cols] for row in X]
 
-    Each pass doubles the precision: y correct mod m^k gives y(2 - s y)
-    correct mod m^(2k), so every pass runs at its own precision only.
+
+def _newton_inverse(E, order):
+    """(I + E)^-1 mod m^order for a matrix of polynomials with mult(E) >= 1.
+
+    Newton doubling: X correct mod m^k gives X(2I - (I+E)X) = X + X*R with
+    R = I - (I+E)X correct mod m^(2k), so every pass runs at its own
+    precision only.  :func:`series_inverse` is its 1 x 1 case.
     """
-    c0 = s.constant_term
-    if not c0:
-        raise ValueError("series_inverse requires a unit (nonzero constant term)")
-    order = s.order
-    y = TruncatedSeries(Polynomial.constant(s.nvars, Fraction(1, 1) / Fraction(c0)), 1)
-    prec = 1
+    n, nvars = len(E), E[0][0].nvars
+    ident = [[Polynomial.constant(nvars, int(i == j)) for j in range(n)] for i in range(n)]
+    X, prec = ident, 1
     while prec < order:
         prec = min(2 * prec, order)
-        y = TruncatedSeries(y.poly, prec)
-        y = y * (2 - s.truncate(prec) * y)
-    return y
+        EX = _mat_mul([[e.truncate(prec) for e in row] for row in E], X, prec)
+        R = [[ident[i][j] - X[i][j] - EX[i][j] for j in range(n)] for i in range(n)]
+        XR = _mat_mul(X, R, prec)
+        X = [[X[i][j] + XR[i][j] for j in range(n)] for i in range(n)]
+    return X
+
+
+def series_inverse(s: TruncatedSeries) -> TruncatedSeries:
+    """Reciprocal of a unit series (nonzero constant term): for s = c(1 + u),
+    c^-1 times the 1 x 1 :func:`_newton_inverse` of u."""
+    if not s.constant_term:
+        raise ValueError("series_inverse requires a unit (nonzero constant term)")
+    inv_c0 = Fraction(1) / Fraction(s.constant_term)
+    ((y,),) = _newton_inverse([[s.poly * inv_c0 - 1]], s.order)
+    return TruncatedSeries(y * inv_c0, s.order)
 
 
 def multiplicity(f):

@@ -43,6 +43,11 @@ library computes, by a method other than the one it checks:
   reading every term.  :meth:`~lctlab.polyring.Polynomial.truncate` reads
   the cut a polynomial records instead, and returns it whole at or above
   that cut.
+
+* :func:`series_inverse_by_doubling` is the scalar Newton loop y(2 - s y)
+  over truncated series that :func:`~lctlab.polyring.series_inverse` was,
+  kept verbatim.  The library now reads the reciprocal as the 1 x 1 case of
+  the matrix inverse ``_newton_inverse``, scaled by the constant term.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from lctlab.jacobian import IdealGens, _minimal_monomials, _mono_divides
 from lctlab.lct import NewtonWitness, RayValuation
 from lctlab.linalg import SparseEliminator, solve_dense
 from lctlab.polyring import Polynomial, dot, substitute
+from lctlab.polyring import TruncatedSeries
 
 
 def newton_lct_witness_ray(a: IdealGens, weight_bound: int):
@@ -245,3 +251,22 @@ def truncate_by_scan(p: Polynomial, order) -> Polynomial:
     """``p`` without its terms of degree >= order, reading every term, in
     the order of ``p``'s terms."""
     return Polynomial(p.nvars, {m: c for m, c in p.terms.items() if sum(m) < order})
+
+
+def series_inverse_by_doubling(s: TruncatedSeries) -> TruncatedSeries:
+    """Reciprocal of a unit series (nonzero constant term), by Newton iteration.
+
+    Each pass doubles the precision: y correct mod m^k gives y(2 - s y)
+    correct mod m^(2k), so every pass runs at its own precision only.
+    """
+    c0 = s.constant_term
+    if not c0:
+        raise ValueError("series_inverse requires a unit (nonzero constant term)")
+    order = s.order
+    y = TruncatedSeries(Polynomial.constant(s.nvars, Fraction(1, 1) / Fraction(c0)), 1)
+    prec = 1
+    while prec < order:
+        prec = min(2 * prec, order)
+        y = TruncatedSeries(y.poly, prec)
+        y = y * (2 - s.truncate(prec) * y)
+    return y
