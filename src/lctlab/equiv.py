@@ -61,6 +61,7 @@ from .polyring import (
     Polynomial,
     TruncatedSeries,
     _image_list,
+    _known,
     _linear_part,
     _mat_mul,
     _newton_inverse,
@@ -94,19 +95,13 @@ class RankDropError(ValueError):
         self.rank_fg = rank_fg
 
 
-def _as_series(f, order):
-    if isinstance(f, TruncatedSeries):
-        return f.truncate(order)
-    return TruncatedSeries(f, order)
-
-
 class CoordinateMap:
     """A substitution x_i -> image_i defining a local automorphism mod m^N.
 
     Images obey :func:`_image_list` (one per variable, zero constant term),
-    a series image is known at least mod m^N, and the linear parts form an
-    invertible matrix (unit Jacobian determinant at the origin), which is
-    exactly the automorphism criterion for formal coordinate changes.
+    a series image is known at least mod m^N (:func:`_known`), and the linear
+    parts form an invertible matrix (unit Jacobian determinant at the origin),
+    which is exactly the automorphism criterion for formal coordinate changes.
     """
 
     __slots__ = ("nvars", "images", "order", "_shifts")
@@ -116,11 +111,7 @@ class CoordinateMap:
             raise ValueError(
                 f"a coordinate map needs order >= 2, got {order}: mod m^1 every image is 0"
             )
-        images = tuple(images)
-        polys = _image_list(images)
-        for k, im in enumerate(images, start=1):
-            if isinstance(im, TruncatedSeries) and im.order < order:
-                raise ValueError(f"image of x{k} is known mod m^{im.order}, below the map's order {order}")
+        polys = _image_list([_known(im, order, f"image of x{k}", "map") for k, im in enumerate(images, 1)])
         self.nvars = len(polys)
         self.images = tuple(TruncatedSeries(p, order) for p in polys)
         self.order = order
@@ -138,11 +129,12 @@ class CoordinateMap:
 
     @classmethod
     def shift(cls, shifts, order: int) -> "CoordinateMap":
-        """The map x_i -> x_i + g_i for shifts of multiplicity >= 2.  It keeps
-        the shifts mod m^order, which :meth:`then` reads."""
-        gs = _image_list(shifts, what="shift")
+        """The map x_i -> x_i + g_i for shifts of multiplicity >= 2, each read by
+        :func:`_known`.  It keeps the shifts mod m^order, which :meth:`then` reads."""
+        gs = [_known(g, order, f"shift of x{k}", "map") for k, g in enumerate(shifts, 1)]
+        gs = _image_list(gs, what="shift")
         cmap = cls([Polynomial.variable(g.nvars, i) + g for i, g in enumerate(gs, start=1)], order)
-        cmap._shifts = [g.truncate(order) for g in gs]
+        cmap._shifts = gs
         return cmap
 
     @classmethod
@@ -191,14 +183,14 @@ class CoordinateMap:
 def verify_map(f, target, cmap: CoordinateMap, order=None):
     """Exact check that substituting along cmap sends f to target mod m^N.
 
-    Returns ``(True, None)`` or ``(False, first_differing_degree)``; refuses an order above cmap's.
+    Returns ``(True, None)`` or ``(False, first_differing_degree)``; refuses an order above cmap's
+    and, by :func:`_known`, an f or target given as a series known below the order.
     """
     n = cmap.order if order is None else order
     if n > cmap.order:
         raise ValueError(f"verify_map at order {n} reads past the map's order {cmap.order}")
-    image = cmap.apply(f, n)
-    tgt = _as_series(target, n)
-    diff = image.poly - tgt.poly
+    image = cmap.apply(_known(f, n, "f", "check"), n)
+    diff = image.poly - _known(target, n, "target", "check")
     if diff.is_zero():
         return True, None
     return False, diff.multiplicity()
@@ -208,8 +200,9 @@ def verify_map(f, target, cmap: CoordinateMap, order=None):
 # the Jacobian-square absorption iteration
 
 
-def _witness_matrix(f: Polynomial, g_witness):
-    """H with ``sum H[i][j] * d_i f * d_j f`` the witnessed element of J_f^2.
+def _witness_matrix(f: Polynomial, g_witness, order):
+    """``(H, g)``: g the witnessed element of J_f^2, a series known mod the
+    witness's order read by :func:`_known`, and ``sum H[i][j] * d_i f * d_j f = g``.
 
     Refuses anything but a verified witness over the generators of J_f^2 as
     ``ideal_power`` lists them: ``_ideal`` of the pair products, which
@@ -226,13 +219,14 @@ def _witness_matrix(f: Polynomial, g_witness):
         raise ValueError("witness generators are not the Jacobian-square generators of f")
     if not g_witness.verify():
         raise ValueError("witness does not re-expand to its target")
+    g = _known(TruncatedSeries(g_witness.target, g_witness.order), order, "witnessed g", "map")
     H = [[Polynomial.zero(n)] * n for _ in range(n)]
     for gen, coeff in zip(g_witness.gens.gens, g_witness.coefficients):
         k = products.index(gen)
         products[k] = None
         i, j = pairs[k]
         H[i][j] = H[i][j] + coeff.poly
-    return H
+    return H, g
 
 
 def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> CoordinateMap:
@@ -254,13 +248,8 @@ def tougeron(f: Polynomial, g_witness: MembershipWitness, order: int) -> Coordin
     d = f.multiplicity()
     if d < 3:
         raise ValueError("tougeron needs mult(f) >= 3; use formal_equiv_rank2 for rank cases")
-    H = _witness_matrix(f, g_witness)
-    if g_witness.order < order:
-        raise ValueError(
-            f"witness order {g_witness.order} is smaller than the requested order {order}"
-        )
+    H, g = _witness_matrix(f, g_witness, order)
     n = f.nvars
-    g = g_witness.target.truncate(order)
     target = TruncatedSeries(f + g, order)
 
     psi = CoordinateMap.identity(n, order)
@@ -570,12 +559,12 @@ def morsify(f, order: int) -> MorsifyResult:
     in each diagonal variable; the quadratic part is preserved at every
     elementary step and the result satisfies
     ``substitute(f, map) == sum(a_i x_i^2) + residual mod m^order`` with the
-    residual of multiplicity >= 3 in the variables past the rank.
+    residual of multiplicity >= 3 in the variables past the rank.  f is a
+    Polynomial or a series known at least mod m^order.
     """
     if order < 3:
         raise ValueError(f"morsify needs order >= 3, got {order}: mod m^2 the quadratic part is 0")
-    fs = _as_series(f, order)
-    fp = fs.poly
+    fp = _known(f, order, "f", "map")
     if fp.constant_term:
         raise ValueError("morsify needs f(0) = 0")
     if fp.multiplicity() != 2:
@@ -678,8 +667,7 @@ def formal_equiv_rank2(f: Polynomial, g_witness: MembershipWitness, order: int) 
     """
     n = f.nvars
     r, _diag, h = split_form(f)
-    _witness_matrix(f, g_witness)  # refuses all but a verified J_f^2 witness
-    fg = f + g_witness.target
+    fg = f + _witness_matrix(f, g_witness, order)[1]  # refuses all but a verified J_f^2 witness
     if any(any(row[r:]) for row in quadratic_form_matrix(fg)):
         raise AssertionError("perturbed quadratic part leaks past the rank block")
     rank_fg = quadratic_rank(fg)

@@ -45,6 +45,7 @@ from .linalg import SparseEliminator, rank_dense
 from .polyring import (
     Polynomial,
     TruncatedSeries,
+    _known,
     dot,
     monomials_below,
     partial_derivative,
@@ -244,7 +245,8 @@ def membership_truncated(
 ):
     """Write ``g`` as a combination of the generators modulo ``m^order``.
 
-    Solves the exact linear system over the monomial basis of degree < order.
+    ``g`` is a Polynomial or a series known at least mod m^order.  Solves
+    the exact linear system over the monomial basis of degree < order.
     ``min_degree`` restricts every coefficient series to multiplicity at
     least that value.  Returns a :class:`MembershipWitness` (whose expansion
     reproduces g exactly mod m^order) or :class:`NotMember`.
@@ -253,7 +255,7 @@ def membership_truncated(
         raise ValueError("order must be >= 1")
     if g.nvars != a.nvars:
         raise ValueError("nvars mismatch")
-    target = g.truncate(order)
+    target = _known(g, order, "g", "witness")
     column, rows = _truncated_multiples(a.nvars, a.gens, order, min_degree)
     elim = SparseEliminator()
     for gi, mono, row in rows:

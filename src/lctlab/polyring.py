@@ -667,6 +667,17 @@ class _Powers:
         return val
 
 
+def _known(x, order, what, whose):
+    """The polynomial of ``x`` cut below m^order, the ``whose`` order an entry
+    certifies or solves at; a series known only below it is refused, anything
+    but a Polynomial or series passes through.  :func:`_series_args` caps instead."""
+    if isinstance(x, TruncatedSeries):
+        if x.order < order:
+            raise ValueError(f"{what} is known mod m^{x.order}, below the {whose}'s order {order}")
+        x = x.poly
+    return x.truncate(order) if isinstance(x, Polynomial) else x
+
+
 def _series_args(f, images, order, what):
     """f as a polynomial, its images by :func:`_image_list`, the order capped by f's."""
     if isinstance(f, TruncatedSeries):
@@ -816,9 +827,7 @@ def multiplicity(f):
     the zero polynomial.  For a truncated series that vanishes identically,
     only ``>= order`` is known and a :class:`MultiplicityBound` is returned.
     """
-    if isinstance(f, TruncatedSeries):
-        return f.multiplicity()
-    if isinstance(f, Polynomial):
+    if isinstance(f, (Polynomial, TruncatedSeries)):
         return f.multiplicity()
     raise TypeError("multiplicity expects Polynomial or TruncatedSeries")
 

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from lctlab.equiv import CoordinateMap, verify_map
+from lctlab.equiv import CoordinateMap, formal_equiv_rank2, morsify, tougeron, verify_map
+from lctlab.jacobian import MembershipWitness, ideal_power, jacobian_ideal, membership_truncated
 from lctlab.polyring import (
     Polynomial,
     TruncatedSeries,
@@ -133,3 +134,112 @@ def test_series_inverse_is_the_scalar_doubling_loop():
         seen["Fraction term"] += any(type(c) is Fraction for c in got.poly.terms.values())
         seen["3 variables"] += n == 3
     assert min(seen.values()) >= 20, seen
+
+
+# every entry that certifies or solves mod m^8, with the argument it reads
+# there (each has a term past the order), the call, and the subject and owner
+# of the order that its refusal names
+_CMAP = CoordinateMap.shift([P("x*y + y^3", 2), P("x^2", 2)], 8)
+_F = P("x^2 + x*y^2 + y^5 + x^4*y^5", 2)
+_F_IMAGE = _CMAP.apply(_F).poly
+_KNOWN = {
+    "CoordinateMap": (
+        P("x + y^2 + x^9", 2), lambda s: repr(CoordinateMap([s, P("y + x^3", 2)], 8)), "image of x1", "map",
+    ),
+    "CoordinateMap.shift": (
+        P("x*y + y^5 + x^9", 2), lambda s: repr(CoordinateMap.shift([s, P("x^2", 2)], 8)), "shift of x1", "map",
+    ),
+    "verify_map f": (_F, lambda s: verify_map(s, _F_IMAGE, _CMAP), "f", "check"),
+    "verify_map target": (
+        _F_IMAGE + P("x^3*y^3 + x^9", 2), lambda s: verify_map(_F, s, _CMAP), "target", "check",
+    ),
+    "morsify": (_F, lambda s: (repr(morsify(s, 8).map), str(morsify(s, 8).residual)), "f", "map"),
+    "membership_truncated": (
+        P("x^4 + x^2*y^2 + x^9", 2),
+        lambda s: membership_truncated(s, ideal_power(jacobian_ideal(P("x^3 + y^3", 2)), 2), 8),
+        "g", "witness",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_KNOWN))
+@pytest.mark.parametrize("known", [4, 7, 8, 12])
+def test_every_certifying_entry_reads_a_series_by_one_rule(entry, known):
+    # below the order: refused, with one message; at or above it: read as
+    # its polynomial, the same result as passing that polynomial
+    poly, call, what, whose = _KNOWN[entry]
+    series = TruncatedSeries(poly, known)
+    if known < 8:
+        with pytest.raises(ValueError, match=rf"^{what} is known mod m\^{known}, below the {whose}'s order 8$"):
+            call(series)
+    else:
+        assert call(series) == call(poly)
+
+
+_X2_X5 = P("x^2 + x^5", 1)
+
+
+def test_verify_map_refuses_a_target_known_below_the_order():
+    # it used to return (False, 5), a difference at a degree the target does not know
+    with pytest.raises(ValueError, match=r"target is known mod m\^4, below the check's order 8"):
+        verify_map(_X2_X5, TruncatedSeries(_X2_X5, 4), CoordinateMap.identity(1, 8))
+
+
+def test_verify_map_refuses_an_f_known_below_the_order():
+    with pytest.raises(ValueError, match=r"f is known mod m\^4, below the check's order 8"):
+        verify_map(TruncatedSeries(_X2_X5, 4), _X2_X5, CoordinateMap.identity(1, 8))
+
+
+def test_verify_map_refuses_f_and_target_both_known_below_the_order():
+    # it used to return (True, None), claiming agreement mod m^8
+    with pytest.raises(ValueError, match=r"f is known mod m\^4, below the check's order 8"):
+        verify_map(TruncatedSeries(_X2_X5, 4), TruncatedSeries(_X2_X5, 4), CoordinateMap.identity(1, 8))
+
+
+def test_morsify_refuses_an_f_known_below_its_order():
+    # it used to return the residual -1/4*x2^4 + O(m^8), which the y^5 term
+    # of the germ, unknown mod m^4, changes
+    with pytest.raises(ValueError, match=r"f is known mod m\^4, below the map's order 8"):
+        morsify(TruncatedSeries(P("x^2 + x*y^2 + y^5", 2), 4), 8)
+
+
+def test_a_shift_map_refuses_a_shift_known_below_its_order():
+    # as CoordinateMap refuses the image x + x^2 + x^5 + O(m^4) that it used to build
+    with pytest.raises(ValueError, match=r"shift of x1 is known mod m\^4, below the map's order 8"):
+        CoordinateMap.shift([TruncatedSeries(_X2_X5, 4)], 8)
+
+
+def test_membership_reads_a_series_g_known_to_the_order():
+    jf2 = ideal_power(jacobian_ideal(P("x^3 + y^3", 2)), 2)
+    g = P("x^4 + x^2*y^2", 2)
+    witness = membership_truncated(TruncatedSeries(g, 10), jf2, 8)
+    assert isinstance(witness, MembershipWitness)
+    assert witness == membership_truncated(g, jf2, 8)
+    with pytest.raises(ValueError, match=r"g is known mod m\^5, below the witness's order 8"):
+        membership_truncated(TruncatedSeries(g, 5), jf2, 8)
+
+
+def test_the_absorptions_refuse_a_witness_of_lower_order():
+    # the witness knows g mod m^6 only; formal_equiv_rank2 used to return a
+    # map claiming f + g mod m^10
+    f = P("x^3 + y^3", 2)
+    witness = membership_truncated(P("x^4 + x^2*y^2", 2), ideal_power(jacobian_ideal(f), 2), 6)
+    with pytest.raises(ValueError, match=r"witnessed g is known mod m\^6, below the map's order 10"):
+        tougeron(f, witness, 10)
+    f = P("x^2 + y^3", 2)
+    witness = membership_truncated(P("x^2*y^2 + y^7", 2), ideal_power(jacobian_ideal(f), 2), 6)
+    with pytest.raises(ValueError, match=r"witnessed g is known mod m\^6, below the map's order 10"):
+        formal_equiv_rank2(f, witness, 10)
+    assert formal_equiv_rank2(f, witness, 6).order == 6
+
+
+def test_the_composition_entries_cap_at_a_series_f_instead():
+    # substitute, substitute_shifted and apply return the lower order
+    f = TruncatedSeries(P("x^3 + y^3", 2), 4)
+    shifts = [P("y^2", 2), P("x^2", 2)]
+    images = [P("x + y^2", 2), P("y + x^2", 2)]
+    assert CoordinateMap.identity(2, 8).apply(f).order == 4
+    assert CoordinateMap.shift(shifts, 8).apply(f) == f
+    assert substitute(f, images, 8) == substitute(f.poly, images, 4)
+    assert substitute_shifted(f, shifts, 8) == substitute_shifted(f.poly, shifts, 4)
+    assert substitute(f, images, 8).order == substitute_shifted(f, shifts, 8).order == 4
