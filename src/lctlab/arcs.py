@@ -4,15 +4,25 @@ A jet of order m assigns to each of the n coordinates a polynomial of
 degree <= m in t with coefficients mod p; the contact order of an ideal
 along the jet is the t-adic order of its generators evaluated on the jet.
 Counts are exact integers from a recursion over t-degree levels.  Level 0
-keeps the common zeros x0 of the s generators mod p.  At every level
-l >= 1 the t^l coefficient of g_i(jet) is J(x0) c_l + b_i, where J is the
-Jacobian mod p, c_l the t^l coefficients of the jet and b_i depends only on
-lower levels (Taylor expansion: c_l enters only through the linear term).
-So a constrained level is an affine system over F_p: where J has full row
-rank every level contributes p^(n-s) in closed form, and elsewhere only
-the solutions of the system are recursed into.  Levels at or above the
-contact order are free and counted as a power of p.  The brute-force
-reference, one jet at a time, lives in ``tests/oracles.py``.
+keeps the common zeros x0 of the s generators mod p.  Write the jet as
+x0 + y with y of t-order >= 1.  At every level l >= 1 the t^l coefficient
+of g_i(x0 + y) is J(x0) c_l + b_i, where J is the Jacobian mod p, c_l the
+t^l coefficients of the jet and b_i the t^l coefficient of the terms of
+degree >= 2 of the Taylor shift g_i(x0 + y) - g_i(x0), which read only
+lower levels.  So a constrained level is an affine system over F_p.
+
+Where J(x0) has full row rank s every level contributes p^(n-s) in closed
+form: the rank is decided for all zeros at once on the residue grid, and
+the smooth zeros are counted together without visiting one.  Only a
+singular zero gets work of its own: one row reduction of J(x0), one Taylor
+shift of the generators, and a lift that runs level by level over numpy
+batches of nodes, every node over x0 sharing the row operations and kernel,
+keeping the nodes whose system is consistent and expanding them by the
+kernel (when the shift has no term of degree 2..e-1, every level is
+J c = 0 and the count is again a closed form).  Levels at or above the
+contact order are free and counted as a power of p.  The reference
+recursion one node at a time, and the brute-force count one jet at a time,
+live in ``tests/oracles.py``.
 
 The closed-form orbit invariants of the determinantal family, which
 contact-locus counts of the determinant get compared against, live in
@@ -23,44 +33,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
 from .budget import check_budget
-from .expsum import _eval_terms_mod, _int_terms, _require_prime, _residue_grids, _vanishing
+from .expsum import (
+    _eval_terms_mod,
+    _int_terms,
+    _require_prime,
+    _residue_grids,
+    _taylor_shift,
+    _vanishing,
+)
 from .jacobian import IdealGens
-from .polyring import Polynomial, partial_derivative
+from .polyring import partial_derivative
 
 
 # ----------------------------------------------------------------------
 # jet counting
 
-
-def _poly_eval_jet(poly: Polynomial, coords, p: int, length: int):
-    """Evaluate poly on a jet; coords are coefficient tuples of length
-    `length`; returns the value's coefficients mod p, truncated to t^length."""
-    out = [0] * length
-    for mono, coeff in poly.terms.items():
-        term = [1] + [0] * (length - 1)
-        for var, e in enumerate(mono):
-            for _ in range(e):
-                nxt = [0] * length
-                cv = coords[var]
-                for i, a in enumerate(term):
-                    if not a:
-                        continue
-                    for j in range(length - i):
-                        b = cv[j]
-                        if b:
-                            nxt[i + j] = (nxt[i + j] + a * b) % p
-                term = nxt
-        c = int(coeff) % p
-        if c:
-            for i in range(length):
-                if term[i]:
-                    out[i] = (out[i] + c * term[i]) % p
-    return out
+_BLOCK = 1 << 12  # jet nodes per batch of the lift, so its memory is bounded
 
 
 def _rref_mod_p(rows, ncols, p):
@@ -84,6 +76,127 @@ def _rref_mod_p(rows, ncols, p):
     return rows, pivots
 
 
+def _full_row_rank(mats, p):
+    """Mask of the matrices in the stack mats (N, s, n) whose rank over F_p
+    is s, by one elimination over the whole stack.  Row i, once cleared by
+    the rows above it, is zero exactly when it lies in their span; a row
+    clears its first nonzero column from the rows below, each scaled by the
+    pivot (a unit) rather than divided by it.  With s > n some row is zero."""
+    a = mats.copy()
+    full = np.ones(len(a), dtype=bool)
+    for i in range(a.shape[1]):
+        row = a[:, i]
+        live = row != 0
+        full &= live.any(axis=1)
+        if i + 1 < a.shape[1]:
+            col = live.argmax(axis=1)[:, None]
+            below = a[:, i + 1:]
+            hit = np.take_along_axis(below, col[:, None], axis=2)
+            piv = np.take_along_axis(row, col, axis=1)[:, None]
+            a[:, i + 1:] = (piv * below % p - hit * row[:, None] % p) % p
+    return full
+
+
+def _mul_series(a, b, p):
+    """Product mod p of two batches (B, L) of series in t with no constant
+    term, cut below t^L; every product is reduced before it is summed."""
+    out = np.zeros_like(a)
+    for i in range(1, a.shape[1] - 1):
+        out[:, i + 1:] += a[:, i, None] * b[:, 1:-i] % p
+    return out % p
+
+
+def _t_coefficients(polys, ys, level, p):
+    """The t^level coefficient mod p of each polynomial in polys (term lists
+    mod p, of degree >= 2) on every jet y of the batch ys (B, n, L), whose
+    coefficients below t^level are set.  A term of degree above the level
+    has t-order above it and is skipped; the powers of each y_j are shared."""
+    cut = ys[:, :, :level + 1]
+    powers = {}
+
+    def power(j, d):
+        if (j, d) not in powers:
+            powers[j, d] = cut[:, j] if d == 1 else _mul_series(power(j, d - 1), cut[:, j], p)
+        return powers[j, d]
+
+    out = np.zeros((len(polys), len(ys)), dtype=np.int64)
+    for r, terms in enumerate(polys):
+        for mono, c in terms:
+            if sum(mono) > level:
+                continue
+            # y^mono = y^rest * y_last, and of that last product only t^level
+            # is read; rest has degree >= 1
+            last = max(j for j, d in enumerate(mono) if d)
+            rest = list(mono)
+            rest[last] -= 1
+            head = None
+            for j, d in enumerate(rest):
+                if d:
+                    head = power(j, d) if head is None else _mul_series(head, power(j, d), p)
+            coeff = (head * cut[:, last, ::-1] % p).sum(axis=1) % p
+            out[r] = (out[r] + c * coeff % p) % p
+    return out
+
+
+def _lift(terms, x0, jac, p, e):
+    """Number of choices of the jet levels 1..e-1 over a zero x0 of the
+    generators (term lists) where their Jacobian jac (s x n, mod p) has rank
+    below s.  The lift runs level by level over batches of at most _BLOCK
+    nodes, which share J(x0), its kernel and its row operations."""
+    n, s = len(x0), len(terms)
+    # [J | I] reduced on the J block: the I block records the row operations
+    rows, pivots = _rref_mod_p([jac[i] + [int(i == k) for k in range(s)] for i in range(s)], n, p)
+    rank = len(pivots)
+    kernel = []
+    for col in range(n):
+        if col not in pivots:
+            vec = [0] * n
+            vec[col] = 1
+            for row, pc in zip(rows, pivots):
+                vec[pc] = -row[col] % p
+            kernel.append(vec)
+    basis = np.array(kernel, dtype=np.int64).reshape(len(kernel), n)
+    width, place = p ** len(kernel), p ** np.arange(len(kernel))
+    # the Taylor shifts g(x0 + y) - g(x0) in degrees 2..e-1, taken once and
+    # mixed by the row operations: y has t-order >= 1, so a term of degree e
+    # or more lies past every constrained level, and degree 1 is J y
+    shifts = [
+        {a: c % p for a, c in _taylor_shift(t, x0, 1).items() if 2 <= sum(a) < e}
+        for t in terms
+    ]
+    mixed = []
+    for row in rows:
+        acc = {}
+        for r, shift in zip(row[n:], shifts):
+            for a, c in shift.items():
+                acc[a] = (acc.get(a, 0) + r * c) % p
+        mixed.append([(a, c) for a, c in acc.items() if c])
+    if not any(mixed):  # every constrained level is J c = 0
+        return width ** (e - 1)
+
+    def descend(level, ys):
+        """Completions of the batch ys (B, n, e): per node, the system at
+        this level is R J c = -[t^level] (R h)(y), with R the row operations
+        and R h the mixed shifts."""
+        vals = _t_coefficients(mixed, ys, level, p)
+        kept = np.flatnonzero(~vals[rank:].any(axis=0))  # the consistent nodes
+        if level == e - 1:
+            return len(kept) * width
+        total = 0
+        for lo in range(0, len(kept) * width, _BLOCK):
+            parent, combo = np.divmod(np.arange(lo, min(lo + _BLOCK, len(kept) * width)), width)
+            parent = kept[parent]
+            digits = combo[:, None] // place % p  # weights of the kernel basis
+            step = (digits[:, :, None] * basis % p).sum(axis=1)
+            step[:, pivots] -= vals[:rank, parent].T
+            child = ys[parent]
+            child[:, :, level] = step % p
+            total += descend(level + 1, child)
+        return total
+
+    return descend(1, np.zeros((1, n, e), dtype=np.int64))
+
+
 def count_contact_jets(
     gens: IdealGens, p: int, m: int, e: int, budget=None
 ) -> int:
@@ -92,11 +205,11 @@ def count_contact_jets(
 
     Requires m >= 0, 0 <= e <= m + 1 and integer generator coefficients.
     The count recurses over t-degree levels (see module docstring): level 0
-    keeps the zeros of the generators mod p, a zero where their Jacobian has
-    full row rank is counted in closed form, and elsewhere each constrained
-    level descends only into the solutions of a linear system over F_p, so p
-    must be prime.  The budget guards the volume p^((m+1)n) of the jet
-    space.
+    keeps the zeros of the generators mod p.  The zeros where the Jacobian
+    has full row rank are found on the residue grid and counted together in
+    closed form; each other zero is lifted level by level in batches of
+    nodes, solving a linear system over F_p, so p must be prime.  The
+    budget guards the volume p^((m+1)n) of the jet space.
     """
     n = gens.nvars
     if m < 0 or e < 0 or e > m + 1:
@@ -107,73 +220,22 @@ def count_contact_jets(
     if e == 0:
         return p ** ((m + 1) * n)
 
-    polys = list(gens.gens)
-    s = len(polys)
+    s = len(terms)
     free = p ** (n * (m + 1 - e))  # levels e..m are unconstrained
-    grids = _residue_grids(n, p)
-    shape = (p,) * n
-    zero = np.broadcast_to(_vanishing(terms, grids, p), shape)
-    jac = [
-        [
-            np.broadcast_to(
-                _eval_terms_mod(_int_terms(partial_derivative(g, j)), grids, p), shape
-            )
-            for j in range(1, n + 1)
-        ]
-        for g in polys
-    ]
-    coords = [[0] * (m + 1) for _ in range(n)]
-
-    def lift(ell):
-        """Completions of the jet whose levels < ell are set in coords; the
-        linear algebra at the current x0 is read from trans, pivots, kernel."""
-        if ell == e:
-            return free
-        # t^ell coefficients with c_ell = 0, mapped through the row operations
-        b = [-_poly_eval_jet(g, coords, p, ell + 1)[ell] for g in polys]
-        rhs = [sum(t * v for t, v in zip(row, b)) % p for row in trans]
-        if any(rhs[len(pivots):]):
-            return 0
-        if ell == e - 1:
-            return p ** len(kernel) * free
-        base = [0] * n
-        for col, v in zip(pivots, rhs):
-            base[col] = v
-        count = 0
-        for combo in iter_product(range(p), repeat=len(kernel)):
-            for var in range(n):
-                coords[var][ell] = (
-                    base[var] + sum(c * k[var] for c, k in zip(combo, kernel))
-                ) % p
-            count += lift(ell + 1)
-        for var in range(n):
-            coords[var][ell] = 0
-        return count
-
-    total = 0
-    for x0 in np.argwhere(zero):
-        x0 = tuple(int(v) for v in x0)
-        # [J | I] reduced on the J block: the I block records the row operations
-        rows, pivots = _rref_mod_p(
-            [[int(jac[i][j][x0]) for j in range(n)] + [int(i == k) for k in range(s)]
-             for i in range(s)],
-            n, p,
-        )
-        if len(pivots) == s:
-            total += p ** ((n - s) * (e - 1)) * free
-            continue
-        kernel = []
-        for col in range(n):
-            if col not in pivots:
-                vec = [0] * n
-                vec[col] = 1
-                for row, pc in zip(rows, pivots):
-                    vec[pc] = -row[col] % p
-                kernel.append(vec)
-        for var in range(n):
-            coords[var][0] = x0[var]
-        trans = [row[n:] for row in rows]
-        total += lift(1)
+    zero = np.broadcast_to(_vanishing(terms, _residue_grids(n, p), p), (p,) * n)
+    if e == 1:  # no constrained level: every zero mod p counts alike
+        return int(np.count_nonzero(zero)) * free
+    x0s = np.argwhere(zero)
+    at = list(x0s.T)
+    jac = np.empty((len(x0s), s, n), dtype=np.int64)  # J at each zero, mod p
+    for i, g in enumerate(gens.gens):
+        for j in range(n):
+            jac[:, i, j] = _eval_terms_mod(_int_terms(partial_derivative(g, j + 1)), at, p)
+    smooth = _full_row_rank(jac, p)
+    # rank s needs s <= n: past that, no zero is smooth and the count is 0
+    total = int(np.count_nonzero(smooth)) * p ** (max(n - s, 0) * (e - 1)) * free
+    for x0, j0 in zip(x0s[~smooth].tolist(), jac[~smooth].tolist()):
+        total += _lift(terms, x0, j0, p, e) * free
     return total
 
 

@@ -96,8 +96,9 @@ class Polynomial:
     multiplicity ``_mult``; the packing ``_pack`` that :func:`dot` reads;
     and the cut ``_cut``, a degree that every term lies below.  :func:`dot`
     records its cut and :meth:`truncate` its order, also when nothing was
-    cut; sums and negations carry it; a truncation at or above it returns
-    the polynomial itself without reading a term.
+    cut; a variable records 2, a constant 1 and :func:`partial_derivative`
+    one less than its operand's; sums and negations carry it; a truncation
+    at or above it returns the polynomial itself without reading a term.
     """
 
     __slots__ = ("nvars", "terms", "_mult", "_pack", "_cut")
@@ -131,7 +132,9 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        p = cls(nvars, {(0,) * nvars: Fraction(value)})
+        p._cut = 1
+        return p
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
@@ -140,7 +143,7 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range 1..{nvars}")
         mono = [0] * nvars
         mono[index - 1] = 1
-        return cls(nvars, {tuple(mono): 1})
+        return cls._make(nvars, {tuple(mono): 1}, 2)
 
     @classmethod
     def monomial(cls, nvars: int, exponents, coeff=1) -> "Polynomial":
@@ -548,7 +551,9 @@ def partial_derivative(f: Polynomial, index: int) -> Polynomial:
             new = list(mono)
             new[i] = e - 1
             out[tuple(new)] = coeff * e
-    return Polynomial(f.nvars, out)
+    d = Polynomial(f.nvars, out)
+    d._cut = None if f._cut is None else f._cut - 1
+    return d
 
 
 def divided_power(f: Polynomial, alpha) -> Polynomial:

@@ -27,10 +27,20 @@ library computes, by a method other than the one it checks:
   :func:`~lctlab.lct.lct_diag_fJ2` reduces the minimum to two endpoints.
 
 * :class:`JetPoint` evaluates one whole jet, coordinate polynomials in t
-  mod p, on the generators and reads off the t-adic order.  Counting the jets
-  of a box one by one needs no Jacobian, no affine system per level and no
-  closed form, which is how :func:`~lctlab.arcs.count_contact_jets` counts
-  them; the two share only the truncated evaluation of a polynomial on a jet.
+  mod p, on the generators, through :func:`_poly_eval_jet`, and reads off
+  the t-adic order.  Counting the jets of a box one by one needs no
+  Jacobian, no affine system per level and no closed form, which is how
+  :func:`~lctlab.arcs.count_contact_jets` counts them; the two share no
+  evaluator, since the library reads each level's coefficient off one
+  Taylor shift of the generators per singular zero.
+
+* :func:`count_contact_jets_by_levels` is the level recursion that
+  :func:`~lctlab.arcs.count_contact_jets` was, kept verbatim: it row reduces
+  the Jacobian at every zero mod p, smooth ones included, and lifts one node
+  at a time, evaluating each generator on the whole jet to read one
+  coefficient.  The library decides the rank of all zeros at once on the
+  residue grid, counts the smooth ones together, and lifts only the
+  singular ones, level by level over numpy batches of nodes.
 
 * :func:`invert` builds the inverse of a coordinate map by a fixed-point
   loop of plain :func:`~lctlab.polyring.substitute` calls, with the linear
@@ -55,14 +65,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from itertools import product as iter_product
 from math import gcd
 
-from lctlab.arcs import _poly_eval_jet
+import numpy as np
+
+from lctlab.arcs import _rref_mod_p
+from lctlab.budget import check_budget
 from lctlab.equiv import CoordinateMap
+from lctlab.expsum import _eval_terms_mod, _int_terms, _require_prime, _residue_grids, _vanishing
 from lctlab.jacobian import IdealGens, _minimal_monomials, _mono_divides
 from lctlab.lct import NewtonWitness, RayValuation
 from lctlab.linalg import SparseEliminator, solve_dense
-from lctlab.polyring import Polynomial, dot, substitute
+from lctlab.polyring import Polynomial, dot, partial_derivative, substitute
 from lctlab.polyring import TruncatedSeries
 
 
@@ -175,6 +190,125 @@ def lct_diag_bruteforce(n: int, d: int, bound: int = 50) -> Fraction:
             if best is None or val < best:
                 best = val
     return best
+
+
+def _poly_eval_jet(poly: Polynomial, coords, p: int, length: int):
+    """Evaluate poly on a jet; coords are coefficient tuples of length
+    `length`; returns the value's coefficients mod p, truncated to t^length."""
+    out = [0] * length
+    for mono, coeff in poly.terms.items():
+        term = [1] + [0] * (length - 1)
+        for var, e in enumerate(mono):
+            for _ in range(e):
+                nxt = [0] * length
+                cv = coords[var]
+                for i, a in enumerate(term):
+                    if not a:
+                        continue
+                    for j in range(length - i):
+                        b = cv[j]
+                        if b:
+                            nxt[i + j] = (nxt[i + j] + a * b) % p
+                term = nxt
+        c = int(coeff) % p
+        if c:
+            for i in range(length):
+                if term[i]:
+                    out[i] = (out[i] + c * term[i]) % p
+    return out
+
+
+def count_contact_jets_by_levels(
+    gens: IdealGens, p: int, m: int, e: int, budget=None
+) -> int:
+    """Number of order-m jets along which every generator vanishes to order
+    >= e in t, over the field with p elements.  Exact.
+
+    Requires m >= 0, 0 <= e <= m + 1 and integer generator coefficients.
+    The count recurses over t-degree levels (see module docstring): level 0
+    keeps the zeros of the generators mod p, a zero where their Jacobian has
+    full row rank is counted in closed form, and elsewhere each constrained
+    level descends only into the solutions of a linear system over F_p, so p
+    must be prime.  The budget guards the volume p^((m+1)n) of the jet
+    space.
+    """
+    n = gens.nvars
+    if m < 0 or e < 0 or e > m + 1:
+        raise ValueError(f"need m >= 0 and 0 <= e <= m + 1, got m = {m}, e = {e}")
+    terms = [_int_terms(g) for g in gens.gens]  # a Fraction is refused ahead of the budget
+    check_budget(p ** ((m + 1) * n), budget, what="jet enumeration", unit="jets")
+    _require_prime(p)
+    if e == 0:
+        return p ** ((m + 1) * n)
+
+    polys = list(gens.gens)
+    s = len(polys)
+    free = p ** (n * (m + 1 - e))  # levels e..m are unconstrained
+    grids = _residue_grids(n, p)
+    shape = (p,) * n
+    zero = np.broadcast_to(_vanishing(terms, grids, p), shape)
+    jac = [
+        [
+            np.broadcast_to(
+                _eval_terms_mod(_int_terms(partial_derivative(g, j)), grids, p), shape
+            )
+            for j in range(1, n + 1)
+        ]
+        for g in polys
+    ]
+    coords = [[0] * (m + 1) for _ in range(n)]
+
+    def lift(ell):
+        """Completions of the jet whose levels < ell are set in coords; the
+        linear algebra at the current x0 is read from trans, pivots, kernel."""
+        if ell == e:
+            return free
+        # t^ell coefficients with c_ell = 0, mapped through the row operations
+        b = [-_poly_eval_jet(g, coords, p, ell + 1)[ell] for g in polys]
+        rhs = [sum(t * v for t, v in zip(row, b)) % p for row in trans]
+        if any(rhs[len(pivots):]):
+            return 0
+        if ell == e - 1:
+            return p ** len(kernel) * free
+        base = [0] * n
+        for col, v in zip(pivots, rhs):
+            base[col] = v
+        count = 0
+        for combo in iter_product(range(p), repeat=len(kernel)):
+            for var in range(n):
+                coords[var][ell] = (
+                    base[var] + sum(c * k[var] for c, k in zip(combo, kernel))
+                ) % p
+            count += lift(ell + 1)
+        for var in range(n):
+            coords[var][ell] = 0
+        return count
+
+    total = 0
+    for x0 in np.argwhere(zero):
+        x0 = tuple(int(v) for v in x0)
+        # [J | I] reduced on the J block: the I block records the row operations
+        rows, pivots = _rref_mod_p(
+            [[int(jac[i][j][x0]) for j in range(n)] + [int(i == k) for k in range(s)]
+             for i in range(s)],
+            n, p,
+        )
+        if len(pivots) == s:
+            total += p ** ((n - s) * (e - 1)) * free
+            continue
+        kernel = []
+        for col in range(n):
+            if col not in pivots:
+                vec = [0] * n
+                vec[col] = 1
+                for row, pc in zip(rows, pivots):
+                    vec[pc] = -row[col] % p
+                kernel.append(vec)
+        for var in range(n):
+            coords[var][0] = x0[var]
+        trans = [row[n:] for row in rows]
+        total += lift(1)
+    return total
 
 
 @dataclass(frozen=True)

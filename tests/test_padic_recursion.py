@@ -3,7 +3,9 @@
 The oracles below are the enumerations that residue histograms, jet counts
 and the restricted-sum identity checks used before the recursion: every
 point of (Z/p^m)^n, and every child jet at every t-degree level.  Counts
-must agree exactly, and identity reports must print identically.  The last
+must agree exactly, and identity reports must print identically.  Jet counts
+also agree with the level recursion one node at a time that the batched lift
+replaced (``oracles.count_contact_jets_by_levels``).  The last
 section keeps the two-path root-of-unity evaluation as the oracle of the one
 ``fsum`` path, which must return the same complex value bit for bit.
 """
@@ -16,7 +18,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from lctlab.arcs import _poly_eval_jet, count_contact_jets
+from lctlab import arcs
+from lctlab.arcs import count_contact_jets
 from lctlab.expsum import (
     IgusaReport,
     ResidueHistogram,
@@ -31,6 +34,7 @@ from lctlab.expsum import (
 )
 from lctlab.jacobian import IdealGens, ideal_power, jacobian_ideal
 from lctlab.polyring import Polynomial, parse_poly
+from oracles import _poly_eval_jet, count_contact_jets_by_levels
 
 
 def P(text, nvars):
@@ -329,6 +333,67 @@ def test_jet_counts_match_enumeration_seeded(seed):
     gens = IdealGens(n, [_random_poly(rng, n, 3) for _ in range(s)])
     for e in range(0, m + 2):
         assert count_contact_jets(gens, p, m, e) == brute_jets(gens, p, m, e), e
+
+
+# The batched lift against the recursion one node at a time that it replaced.
+
+
+def _deepest_order(p, n):
+    """The largest jet order m <= 3 with at most 10^6 jets in n variables."""
+    return max(m for m in range(4) if m == 0 or p ** ((m + 1) * n) <= 10**6)
+
+
+@pytest.mark.parametrize("index", range(len(JET_IDEALS)))
+@pytest.mark.parametrize("p", [7, 11])
+def test_jet_counts_match_the_level_recursion(index, p):
+    gens = JET_IDEALS[index]
+    m = _deepest_order(p, gens.nvars)
+    for e in range(0, m + 2):
+        assert count_contact_jets(gens, p, m, e) == count_contact_jets_by_levels(gens, p, m, e), e
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_jet_counts_match_the_level_recursion_seeded(seed):
+    rng = random.Random(3000 + seed)
+    n = rng.randint(1, 4)
+    s = rng.randint(1, 3)
+    p = rng.choice([2, 3, 5, 7, 11])
+    m = _deepest_order(p, n)
+    gens = IdealGens(n, [_random_poly(rng, n, 3) for _ in range(s)])
+    for e in range(0, m + 2):
+        assert count_contact_jets(gens, p, m, e) == count_contact_jets_by_levels(gens, p, m, e), e
+
+
+def test_jet_counts_row_reduce_only_the_singular_zeros(monkeypatch):
+    calls = []
+    real = arcs._rref_mod_p
+    monkeypatch.setattr(arcs, "_rref_mod_p", lambda *args: calls.append(args) or real(*args))
+    # 145 zeros mod 5, of which only the origin is singular
+    det = ideal(4, "x1*x4 - 3*x2*x3")
+    assert count_contact_jets(det, 5, 1, 2) == count_contact_jets_by_levels(det, 5, 1, 2)
+    assert len(calls) == 1
+    # with s > n no zero is smooth: the origin is the one common zero
+    calls.clear()
+    assert count_contact_jets(ideal(2, "x", "y", "x*y"), 7, 2, 3) == 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_jet_counts_do_not_depend_on_the_block(monkeypatch, block):
+    sizes = []
+    real = arcs._t_coefficients
+    monkeypatch.setattr(arcs, "_BLOCK", block)
+    monkeypatch.setattr(arcs, "_t_coefficients", lambda polys, ys, *args: sizes.append(len(ys)) or real(polys, ys, *args))
+    cases = [
+        (ideal(2, "x^3 + y^3"), 5, 3, 4),
+        (ideal(4, "x1*x4 - x2*x3"), 3, 2, 3),
+        (ideal(2, "x^2", "x*y", "y^2"), 3, 3, 4),
+        (ideal(2, "x + y^2", "x + y^3"), 5, 3, 4),
+    ]
+    for gens, p, m, e in cases:
+        sizes.clear()
+        assert count_contact_jets(gens, p, m, e) == count_contact_jets_by_levels(gens, p, m, e)
+        assert max(sizes) <= block < len(sizes)
 
 
 # ---------------------------------------------------------------- int64 guard

@@ -897,6 +897,46 @@ def test_truncate_at_every_order_matches_the_scan():
     assert min(seen.values()) >= 25, seen
 
 
+def _constructed_corpus(seed):
+    """Variables, constants (zero and Fraction ones among them), and first
+    and second partial derivatives of polynomials with and without a cut."""
+    rng = random.Random(seed)
+    for n in (1, 2, 3):
+        yield from (Polynomial.constant(n, c) for c in (0, 1, -4, Fraction(3, 2), Fraction(4, 2)))
+        yield from (Polynomial.variable(n, i) for i in range(1, n + 1))
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        f = _random_poly(rng, n, rng.randint(1, 5), 0, 5)
+        for base in (f, f.truncate(rng.randint(0, 6)), dot(n, [(f, f)], rng.randint(1, 9))):
+            for i in range(1, n + 1):
+                d = partial_derivative(base, i)
+                yield d
+                yield partial_derivative(d, rng.randint(1, n))
+
+
+def test_constructors_and_derivatives_record_a_cut_that_truncate_reads():
+    seen = {"no cut": 0, "at or above the cut": 0, "below the cut": 0}
+    for p in _constructed_corpus(5119):
+        top = max(map(sum, p.terms), default=0)
+        assert p._cut is None or all(sum(m) < p._cut for m in p.terms), (p, p._cut)
+        for k in range(-1, top + 3):
+            fresh = Polynomial._make(p.nvars, p.terms, p._cut)  # no cut read yet
+            got = fresh.truncate(k)
+            assert _listed(got) == _listed(truncate_by_scan(p, k)), (p, k, p._cut)
+            if p._cut is None:
+                seen["no cut"] += 1
+            elif k >= p._cut:
+                assert got is fresh  # returned without a scan
+                seen["at or above the cut"] += 1
+            else:
+                seen["below the cut"] += 1
+    assert min(seen.values()) >= 25, seen
+    assert Polynomial.variable(3, 2)._cut == 2
+    assert Polynomial.constant(2, 5)._cut == 1
+    assert partial_derivative(Polynomial.variable(2, 1), 1)._cut == 1
+    assert partial_derivative(Polynomial(2, {(3, 1): 1}), 1)._cut is None  # built term by term
+
+
 def test_powers_build_no_product_for_a_unit_exponent(monkeypatch):
     real_dot, calls = polyring.dot, []
 
