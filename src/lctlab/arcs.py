@@ -223,8 +223,6 @@ def count_contact_jets(
     s = len(terms)
     free = p ** (n * (m + 1 - e))  # levels e..m are unconstrained
     zero = np.broadcast_to(_vanishing(terms, _residue_grids(n, p), p), (p,) * n)
-    if e == 1:  # no constrained level: every zero mod p counts alike
-        return int(np.count_nonzero(zero)) * free
     x0s = np.argwhere(zero)
     at = list(x0s.T)
     jac = np.empty((len(x0s), s, n), dtype=np.int64)  # J at each zero, mod p
