@@ -10,7 +10,10 @@ a monomial, with columns keyed by degree first so that every pivot sits at
 its row's lowest-degree monomial.  Rows carry the polynomials' own int or
 Fraction coefficients; the kernel clears denominators once per row and
 eliminates on integers, so a germ with integer coefficients builds Fractions
-only when a witness is read back:
+only when a witness is read back.  Both row builders pack exponents into int
+keys through :func:`~lctlab.polyring._monomial_key`, at a base above every
+exponent they read, so the monomial of an entry is the sum of two keys
+packed once each:
 
 * ``membership_truncated`` adds the rows of ``_truncated_multiples``, each
   truncated below ``m^N`` and tagged (generator, monomial), asks the kernel
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
+from itertools import islice
 from math import comb, prod
 from typing import Sequence
 
@@ -46,6 +49,7 @@ from .polyring import (
     Polynomial,
     TruncatedSeries,
     _known,
+    _monomial_key,
     dot,
     monomials_below,
     partial_derivative,
@@ -192,22 +196,30 @@ def _truncated_multiples(nvars: int, gens, order: int, min_degree: int = 0):
     in degree order, so a row's pivot, the smallest column left once it is
     reduced, is a monomial of the lowest degree left; ``rows`` lazily yields
     ``(i, a, {column: coefficient})``, x^a * g_i truncated below m^order,
-    for each nonzero g_i and min_degree <= |a| < order - mult(g_i)."""
-    column = {m: k for k, m in enumerate(monomials_below((1,) * nvars, order))}
+    for each nonzero g_i and min_degree <= |a| < order - mult(g_i).
+
+    Exponents are packed into int keys at base ``order`` (every exponent of
+    a monomial below m^order lies below it, so the key of x^m * x^a is the
+    sum of their keys): each generator's terms of degree < order and each
+    shift x^a are packed once, with their degrees, so an entry costs an int
+    add and one lookup.  The shifts of g_i are a prefix of the one
+    enumeration of the monomials below m^order, which holds them by degree."""
+    monos = monomials_below((1,) * nvars, order)
+    column = {m: k for k, m in enumerate(monos)}
+    shifts = [(sum(m), _monomial_key(m, order), m) for m in monos]
+    at = {key: k for k, (_, key, _) in enumerate(shifts)}  # packed key -> column
+    first = comb(min_degree - 1 + nvars, nvars) if min_degree > 0 else 0
 
     def rows():
         for i, gen in enumerate(gens):
-            if gen.is_zero():
+            if gen.is_zero() or gen.multiplicity() >= order:
                 continue
-            for mono in monomials_below((1,) * nvars, order - gen.multiplicity()):
-                if sum(mono) < min_degree:
-                    continue
-                row = {}
-                for m, c in gen.terms.items():
-                    s = tuple(map(int.__add__, m, mono))
-                    if sum(s) < order:
-                        row[column[s]] = c
-                yield i, mono, row
+            # in the order of gen.terms, which the entries of a row keep
+            terms = [(d, _monomial_key(m, order), c)
+                     for m, c in gen.terms.items() if (d := sum(m)) < order]
+            for da, ka, mono in shifts[first : comb(order - gen.multiplicity() - 1 + nvars, nvars)]:
+                cut = order - da
+                yield i, mono, {at[k + ka]: c for d, k, c in terms if d < cut}
 
     return column, rows()
 
@@ -266,7 +278,11 @@ def membership_truncated(
     per_gen = [{} for _ in a.gens]
     for (gi, mono), value in sol.items():
         per_gen[gi][mono] = value
-    coeffs = [TruncatedSeries(Polynomial(a.nvars, terms), order) for terms in per_gen]
+    coeffs = []
+    for terms in per_gen:
+        poly = Polynomial(a.nvars, terms)
+        poly._cut = order  # every shift lies below m^order
+        coeffs.append(TruncatedSeries(poly, order))
     witness = MembershipWitness(target, a, coeffs, order)
     if not witness.verify():
         raise AssertionError("membership witness failed to re-expand")
@@ -330,30 +346,45 @@ class Inconclusive:
     order_cap: int
 
 
-def _colengths(f: Polynomial):
-    """colength(J_f + m^N) for N = 1, 2, ..., one value per ``next``, from
-    one elimination (see the module docstring)."""
+def _colengths(f: Polynomial, cap: int):
+    """colength(J_f + m^N) for N = 1, 2, ..., cap, one value per ``next``,
+    from one elimination (see the module docstring).
+
+    Exponents are packed into int keys at a base above every exponent read,
+    deg f + cap, so the key of x^m * x^a is the sum of their keys: each
+    partial's terms are packed once, and the shifts x^a once each, degree by
+    degree as the order grows.  The column of a monomial is its degree in
+    the high bits over the number of columns made before it, given on first
+    sight, so the pivot of a row is a monomial of its lowest degree."""
     n = f.nvars
-    partials = [partial_derivative(f, i) for i in range(1, n + 1)]
-    partials = [(p, p.multiplicity()) for p in partials if not p.is_zero()]
-    lowest = min((m for _, m in partials), default=0)
-    column = {}  # monomial -> key with its degree in the high bits, made on first sight
+    base = 1 << (f.total_degree() + cap).bit_length()
+    partials = []  # (multiplicity, terms (degree, key, coefficient)) of each nonzero partial
+    for i in range(1, n + 1):
+        p = partial_derivative(f, i)
+        if not p.is_zero():
+            terms = [(sum(m), _monomial_key(m, base), c) for m, c in p.terms.items()]
+            partials.append((p.multiplicity(), terms))
+    lowest = min((m for m, _ in partials), default=0)
+    shifts = []  # (degree, key) of the shifts x^a, by degree, extended per order
+    column = {}  # packed key -> column key, made on first sight
     elim = SparseEliminator()
     pending = {}  # degree -> pivots of that degree, until the order passes it
     below = 0  # pivots of degree < order
-    for order in count(1):
-        shifts = monomials_below((1,) * n, order - lowest)
-        for p, mult in partials:
+    for order in range(1, cap + 1):
+        top = order - 1 - lowest  # the largest shift degree this order reads
+        if top >= 0:
+            shifts += [(top, _monomial_key(a, base))
+                       for a in monomials_below((1,) * n, top + 1)[comb(top - 1 + n, n):]]
+        for mult, terms in partials:
             d = order - 1 - mult  # the rows x^a * p of lowest degree order - 1
             if d < 0:
                 continue
-            for a in shifts[comb(d - 1 + n, n) : comb(d + n, n)]:
+            for da, ka in shifts[comb(d - 1 + n, n) : comb(d + n, n)]:
                 row = {}
-                for m, c in p.terms.items():
-                    s = tuple(map(int.__add__, m, a))
-                    key = column.get(s)
+                for dm, km, c in terms:
+                    key = column.get(km + ka)
                     if key is None:
-                        key = column[s] = sum(s) << 32 | len(column)
+                        key = column[km + ka] = (dm + da) << 32 | len(column)
                     row[key] = c
                 if elim.add_row(row):
                     degree = next(reversed(elim.pivots)) >> 32
@@ -365,7 +396,7 @@ def _colengths(f: Polynomial):
 def _colength(f: Polynomial, order: int) -> int:
     """dim of (monomials of degree < order) modulo truncations of m-multiples
     of the partial derivatives."""
-    return next(islice(_colengths(f), order - 1, None))
+    return next(islice(_colengths(f, order), order - 1, None))
 
 
 def milnor_number(f: Polynomial, order_cap: int = 64):
@@ -401,8 +432,8 @@ def milnor_number(f: Polynomial, order_cap: int = 64):
         if p.is_zero():
             return NonIsolated(("zero partial", i))
     bound = prod(p.total_degree() for p in partials)
-    colengths = _colengths(f)
-    next(colengths)  # order 1, where every colength is 1
+    colengths = _colengths(f, order_cap)
+    next(colengths, None)  # order 1, where every colength is 1 (none below a cap of 1)
     prev = None
     for order, cur in zip(range(2, order_cap + 1), colengths):
         if cur == prev:

@@ -33,15 +33,28 @@ bases for local orderings): the rank of the rows truncated below any
 degree is the number of pivots below it, which is how Milnor numbers read
 one elimination across orders.  A membership solve gains too: a row is
 cleared from its lowest degree up and meets few pivot rows, so its entries
-stay small.  On a J_f^2 system in two variables at order 10, pivots at the
-entry of smallest bit length took 2085 reduction steps and residues of 138
-bits; pivots at the lowest column take 443 steps and 28 bits.
+stay small.
+
+A reduction clears the row's pivot columns in increasing order, each at
+most once, off a heap: a pivot row leads at its smallest column, so
+clearing it brings in only larger columns, and no column already cleared
+comes back.  The order does not change a result.  Over Q the residue of a
+row is unique, because the pivot rows restricted to the pivot columns form
+a triangular matrix with nonzero diagonal, and the stored row is that
+residue made primitive with a positive lead; a target in the span is a
+unique combination of the rows that raised the rank.  Only the recorded
+steps depend on the order.  On a J_f^2 system in two variables at order 10,
+pivots at the entry of smallest bit length took 2085 reduction steps and
+residues of 138 bits; pivots at the lowest column took 443 steps and 28
+bits while each step cleared the first pivot column met in the row's dict
+order, and take 303 steps and the same 28 bits in increasing order.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 
 def _integral(row: dict):
@@ -102,26 +115,34 @@ class SparseEliminator:
         """(residue, scale): ``scale * row`` minus integer multiples of the
         pivot rows, with no entry left in a pivot column; ``row`` is an int
         row and is never written to: the first reduction works on a copy,
-        and a row that meets no pivot is returned as it came.  For each
-        pivot used, (column, multiple) is appended to ``steps``, if given,
-        with the multiples taken against the final scale."""
+        and a row that meets no pivot is returned as it came.
+
+        The pivot columns are cleared in increasing order, each at most
+        once: a heap holds the row's pivot columns, the smallest is popped
+        and skipped if a reduction has cancelled it, and clearing it adds
+        only columns above it (a pivot row leads at its smallest column),
+        whose pivot columns are pushed.  For each pivot used, (column,
+        multiple) is appended to ``steps``, if given, so the columns are
+        distinct and increasing, with the multiples taken against the final
+        scale."""
         pivots = self.pivots
+        heap = [col for col in row if col in pivots]
+        if not heap:
+            return row, 1
+        heapify(heap)
         muls = [] if steps is not None else None
         scale = 1
         own = False  # whether ``row`` is a copy this call may write to
-        while row:
-            hit = None
-            for col in row:
-                if col in pivots:
-                    hit = col
-                    break
-            if hit is None:
-                break
+        while heap:
+            hit = heappop(heap)
+            v = row.get(hit)
+            if v is None:  # cancelled, or a second heap entry of a column already cleared
+                continue
             piv = pivots[hit]
-            g = math.gcd(row[hit], piv[hit])
-            a, m = row[hit] // g, piv[hit] // g
+            g = math.gcd(v, piv[hit])
+            a, m = v // g, piv[hit] // g
             if m != 1:
-                row = {c: m * v for c, v in row.items()}
+                row = {c: m * x for c, x in row.items()}
                 scale *= m
                 own = True
             elif not own:
@@ -131,11 +152,17 @@ class SparseEliminator:
                 steps.append((hit, a))
                 muls.append(m)
             for col, coeff in piv.items():
-                v = row.get(col, 0) - a * coeff
-                if v:
-                    row[col] = v
+                x = row.get(col)
+                if x is None:
+                    row[col] = -a * coeff
+                    if col in pivots:
+                        heappush(heap, col)
                 else:
-                    del row[col]
+                    x -= a * coeff
+                    if x:
+                        row[col] = x
+                    else:
+                        del row[col]
         if muls is not None and scale != 1:
             # a multiple taken before later rescalings is carried by them
             later = 1

@@ -18,7 +18,9 @@ reciprocals of unit series, and a strict text-format parser.
 
 Every product is one kernel, :func:`dot`: one accumulator over pairs a*b,
 exponents packed into int keys at one fixed base through a memoized codec,
-each operand packed once as int numerators over one denominator.  Every
+each operand packed once as int numerators over one denominator.  The
+packing loop, :func:`_monomial_key`, is the one the row builders of
+:mod:`lctlab.jacobian` pack with too.  Every
 Taylor or composition sum is one :func:`dot` over exponents from one
 enumerator, :func:`monomials_below`, with products ``g^alpha`` of a series
 tuple from one memoized power cache, :class:`_Powers`.  Each product is
@@ -293,9 +295,7 @@ class Polynomial:
                     d = sum(m)
                     if d >= base:  # exponents this large do not fit a key
                         continue
-                    k = 0
-                    for e in m:
-                        k = k * base + e
+                    k = _monomial_key(m, base)
                     dk = enc[m] = (d, k)
                     dec[k] = m
                 d, k = dk
@@ -347,6 +347,17 @@ class Polynomial:
 
     def __str__(self):
         return poly_to_string(self)
+
+
+def _monomial_key(mono, base):
+    """The int key sum(e_i * base^(nvars-1-i)) of x^mono: the one packing
+    loop.  Keys of exponents below ``base`` sort as the tuples do, and while
+    every exponent of a product stays below ``base`` its key is the sum of
+    its factors' keys, with no carry."""
+    k = 0
+    for e in mono:
+        k = k * base + e
+    return k
 
 
 _KEY_BASE = 64

@@ -54,6 +54,21 @@ library computes, by a method other than the one it checks:
   the cut a polynomial records instead, and returns it whole at or above
   that cut.
 
+* :class:`FirstHitEliminator` reduces a row as
+  :class:`~lctlab.linalg.SparseEliminator` did before it cleared pivot
+  columns in increasing order: it takes the first pivot column in the row's
+  dict order and scans the row again after every step.  The stored pivot
+  rows, leads and solutions do not depend on that order, so the two must
+  agree exactly while taking different steps.
+
+* :func:`truncated_multiples_by_tuples` and :func:`colengths_by_tuples` are
+  the row builders that :func:`~lctlab.jacobian._truncated_multiples` and
+  :func:`~lctlab.jacobian._colengths` were, kept verbatim: each entry adds
+  two exponent tuples and looks the sum up by tuple hash, where the library
+  adds two packed int keys.  :func:`_colength_oracle` is the per-monomial
+  loop before one elimination served every Milnor order: it truncates each
+  order's rows afresh.
+
 * :func:`series_inverse_by_doubling` is the scalar Newton loop y(2 - s y)
   over truncated series that :func:`~lctlab.polyring.series_inverse` was,
   kept verbatim.  The library now reads the reciprocal as the 1 x 1 case of
@@ -62,11 +77,12 @@ library computes, by a method other than the one it checks:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from itertools import product as iter_product
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -77,7 +93,7 @@ from lctlab.expsum import _eval_terms_mod, _int_terms, _require_prime, _residue_
 from lctlab.jacobian import IdealGens, _minimal_monomials, _mono_divides
 from lctlab.lct import NewtonWitness, RayValuation
 from lctlab.linalg import SparseEliminator, solve_dense
-from lctlab.polyring import Polynomial, dot, partial_derivative, substitute
+from lctlab.polyring import Polynomial, dot, monomials_below, partial_derivative, substitute
 from lctlab.polyring import TruncatedSeries
 
 
@@ -404,3 +420,138 @@ def series_inverse_by_doubling(s: TruncatedSeries) -> TruncatedSeries:
         y = TruncatedSeries(y.poly, prec)
         y = y * (2 - s.truncate(prec) * y)
     return y
+
+
+class FirstHitEliminator(SparseEliminator):
+    """The eliminator with the reduction it had before pivot columns were
+    cleared in increasing order: each step takes the first pivot column in
+    the row's dict order and scans the row again, so a column can be
+    cleared more than once."""
+
+    def _reduce(self, row: dict, steps=None):
+        """(residue, scale): ``scale * row`` minus integer multiples of the
+        pivot rows, with no entry left in a pivot column; ``row`` is an int
+        row and is never written to: the first reduction works on a copy,
+        and a row that meets no pivot is returned as it came.  For each
+        pivot used, (column, multiple) is appended to ``steps``, if given,
+        with the multiples taken against the final scale."""
+        pivots = self.pivots
+        muls = [] if steps is not None else None
+        scale = 1
+        own = False  # whether ``row`` is a copy this call may write to
+        while row:
+            hit = None
+            for col in row:
+                if col in pivots:
+                    hit = col
+                    break
+            if hit is None:
+                break
+            piv = pivots[hit]
+            g = math.gcd(row[hit], piv[hit])
+            a, m = row[hit] // g, piv[hit] // g
+            if m != 1:
+                row = {c: m * v for c, v in row.items()}
+                scale *= m
+                own = True
+            elif not own:
+                row = dict(row)
+                own = True
+            if muls is not None:
+                steps.append((hit, a))
+                muls.append(m)
+            for col, coeff in piv.items():
+                v = row.get(col, 0) - a * coeff
+                if v:
+                    row[col] = v
+                else:
+                    del row[col]
+        if muls is not None and scale != 1:
+            # a multiple taken before later rescalings is carried by them
+            later = 1
+            for i in range(len(steps) - 1, -1, -1):
+                if later != 1:
+                    steps[i] = (steps[i][0], steps[i][1] * later)
+                later *= muls[i]
+        return row, scale
+
+
+def truncated_multiples_by_tuples(nvars: int, gens, order: int, min_degree: int = 0):
+    """``(column, rows)``: ``column`` numbers the monomials of degree < order
+    in degree order, so a row's pivot, the smallest column left once it is
+    reduced, is a monomial of the lowest degree left; ``rows`` lazily yields
+    ``(i, a, {column: coefficient})``, x^a * g_i truncated below m^order,
+    for each nonzero g_i and min_degree <= |a| < order - mult(g_i)."""
+    column = {m: k for k, m in enumerate(monomials_below((1,) * nvars, order))}
+
+    def rows():
+        for i, gen in enumerate(gens):
+            if gen.is_zero():
+                continue
+            for mono in monomials_below((1,) * nvars, order - gen.multiplicity()):
+                if sum(mono) < min_degree:
+                    continue
+                row = {}
+                for m, c in gen.terms.items():
+                    s = tuple(map(int.__add__, m, mono))
+                    if sum(s) < order:
+                        row[column[s]] = c
+                yield i, mono, row
+
+    return column, rows()
+
+
+def colengths_by_tuples(f: Polynomial):
+    """colength(J_f + m^N) for N = 1, 2, ..., one value per ``next``, from
+    one elimination (see the :mod:`lctlab.jacobian` docstring)."""
+    n = f.nvars
+    partials = [partial_derivative(f, i) for i in range(1, n + 1)]
+    partials = [(p, p.multiplicity()) for p in partials if not p.is_zero()]
+    lowest = min((m for _, m in partials), default=0)
+    column = {}  # monomial -> key with its degree in the high bits, made on first sight
+    elim = SparseEliminator()
+    pending = {}  # degree -> pivots of that degree, until the order passes it
+    below = 0  # pivots of degree < order
+    for order in count(1):
+        shifts = monomials_below((1,) * n, order - lowest)
+        for p, mult in partials:
+            d = order - 1 - mult  # the rows x^a * p of lowest degree order - 1
+            if d < 0:
+                continue
+            for a in shifts[comb(d - 1 + n, n) : comb(d + n, n)]:
+                row = {}
+                for m, c in p.terms.items():
+                    s = tuple(map(int.__add__, m, a))
+                    key = column.get(s)
+                    if key is None:
+                        key = column[s] = sum(s) << 32 | len(column)
+                    row[key] = c
+                if elim.add_row(row):
+                    degree = next(reversed(elim.pivots)) >> 32
+                    pending[degree] = pending.get(degree, 0) + 1
+        below += pending.pop(order - 1, 0)
+        yield comb(order - 1 + n, n) - below
+
+
+def _colength_oracle(f, order):
+    """The per-monomial colength loop that ``_colength`` replaced, with
+    tuple column keys."""
+    n = f.nvars
+    partials = [partial_derivative(f, i) for i in range(1, n + 1)]
+    elim = SparseEliminator()
+    nmons = 0
+    for mono in monomials_below((1,) * n, order):
+        nmons += 1
+        for p in partials:
+            if p.is_zero():
+                continue
+            if sum(mono) + p.multiplicity() >= order:
+                continue
+            row = {}
+            for m, c in p.terms.items():
+                s = tuple(map(int.__add__, m, mono))
+                if sum(s) < order:
+                    row[s] = c
+            if row:
+                elim.add_row(row)
+    return nmons - elim.rank

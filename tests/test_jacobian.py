@@ -27,6 +27,7 @@ from lctlab.jacobian import (
     quadratic_rank,
 )
 from lctlab.polyring import Polynomial, parse_poly, poly_to_string
+from oracles import _colength_oracle
 
 
 def P(text, nvars):
@@ -508,33 +509,6 @@ def test_milnor_inconclusive_at_the_cap():
 # ---------------------------------------------------------------- one row source, one pruning rule
 
 
-def _colength_oracle(f, order):
-    """The per-monomial colength loop that ``_colength`` replaced, with
-    tuple column keys."""
-    from lctlab.linalg import SparseEliminator
-    from lctlab.polyring import monomials_below, partial_derivative
-
-    n = f.nvars
-    partials = [partial_derivative(f, i) for i in range(1, n + 1)]
-    elim = SparseEliminator()
-    nmons = 0
-    for mono in monomials_below((1,) * n, order):
-        nmons += 1
-        for p in partials:
-            if p.is_zero():
-                continue
-            if sum(mono) + p.multiplicity() >= order:
-                continue
-            row = {}
-            for m, c in p.terms.items():
-                s = tuple(map(int.__add__, m, mono))
-                if sum(s) < order:
-                    row[s] = c
-            if row:
-                elim.add_row(row)
-    return nmons - elim.rank
-
-
 def _prune_monomial_oracle(gens):
     """The pruning helper that ``_ideal`` replaced."""
     first_seen = {}
@@ -693,3 +667,150 @@ def test_minimal_monomials_match_the_threshold_filter():
         )
         got = _minimal_monomials(exps)
         assert sorted(got) == want and len(got) == len(set(got))
+
+
+# ---------------------------------------------------------------- packed row builders against the tuple loops
+
+
+def _seeded_ideals():
+    """(nvars, generators, order, min_degree) in up to four variables: zero
+    generators, units, terms at and above the order, a generator whose
+    multiplicity reaches the order, and the power x_n^(order - 1), whose
+    exponent sits one below the key base."""
+    rng = random.Random(3434)
+    cases = []
+    for n in (1, 2, 2, 3, 3, 4, 4):
+        for order in (1, 3, 6, 9) if n < 4 else (1, 3, 6):
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                terms = {}
+                for _ in range(rng.randint(1, 4)):
+                    terms[tuple(rng.randint(0, order) for _ in range(n))] = rng.choice(
+                        (-3, -1, 1, 2, Fraction(1, 2), Fraction(-5, 3)))
+                gens.append(Polynomial(n, terms))
+            gens.append(Polynomial(n, {tuple(order - 1 if k == n - 1 else 0 for k in range(n)): 7}))
+            gens.append(Polynomial(n, {(order,) + (0,) * (n - 1): 1, (order + 2,) + (0,) * (n - 1): 1}))
+            gens.insert(rng.randrange(len(gens)), Polynomial.zero(n))
+            if rng.random() < 0.3:
+                gens.append(Polynomial.constant(n, 3))
+            cases.append((n, gens, order, rng.choice((0, 0, 1, 2))))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(len(_seeded_ideals())))
+def test_membership_rows_agree_with_the_tuple_loop(case):
+    from lctlab.jacobian import _truncated_multiples
+    from oracles import truncated_multiples_by_tuples
+
+    n, gens, order, min_degree = _seeded_ideals()[case]
+    column, rows = _truncated_multiples(n, gens, order, min_degree)
+    want_column, want_rows = truncated_multiples_by_tuples(n, gens, order, min_degree)
+    assert list(column.items()) == list(want_column.items())
+    assert [(i, a, list(row.items())) for i, a, row in rows] == [
+        (i, a, list(row.items())) for i, a, row in want_rows
+    ]
+
+
+def _recording(monkeypatch):
+    """The rows offered to, and the eliminators made by, SparseEliminator."""
+    import lctlab.linalg as linalg
+
+    offered, made = [], []
+    add_row, init = linalg.SparseEliminator.add_row, linalg.SparseEliminator.__init__
+
+    def recording_add_row(self, row, tag=None):
+        offered.append(list(row.items()))
+        return add_row(self, row, tag)
+
+    def recording_init(self):
+        init(self)
+        made.append(self)
+
+    monkeypatch.setattr(linalg.SparseEliminator, "add_row", recording_add_row)
+    monkeypatch.setattr(linalg.SparseEliminator, "__init__", recording_init)
+    return offered, made
+
+
+def _seeded_colength_germs():
+    germs = [f if f.multiplicity() >= 2 else f * Polynomial.variable(f.nvars, 1)
+             for f in _seeded_germs()]
+    germs += [P(text, n) for text, n in IDEALS_GERMS]
+    return germs + [P("x^2*y^2 + z^5", 3), P("x^3 + y^4 + z^5 + w^6 + x*y*z*w", 4)]
+
+
+@pytest.mark.parametrize("case", range(len(_seeded_colength_germs())))
+def test_colengths_agree_with_the_tuple_loop(monkeypatch, case):
+    from itertools import islice
+
+    import lctlab.jacobian as J
+    from oracles import FirstHitEliminator, colengths_by_tuples
+
+    f = _seeded_colength_germs()[case]
+    cap = {1: 14, 2: 12, 3: 9, 4: 7}[f.nvars]
+    offered, made = _recording(monkeypatch)
+    got = list(J._colengths(f, cap))
+    got_rows, (got_elim,) = list(offered), list(made)
+    offered.clear()
+    made.clear()
+    want = list(islice(colengths_by_tuples(f), cap))
+    (want_elim,) = made
+    assert got == want and len(got) == cap
+    assert got_rows == offered
+    assert list(got_elim.pivots.items()) == list(want_elim.pivots.items())
+    assert got_elim.leads == want_elim.leads and got_elim.rank == want_elim.rank
+    # the first-hit reduction stores the same pivot rows
+    monkeypatch.setattr(J, "SparseEliminator", FirstHitEliminator)
+    made.clear()
+    assert list(J._colengths(f, cap)) == got
+    (old,) = made
+    assert list(old.pivots) == list(got_elim.pivots) and old.pivots == got_elim.pivots
+    assert old.leads == got_elim.leads
+
+
+@pytest.mark.parametrize("text, n", [("x^2 + y^2 + y^13", 2), ("x^2 + x*y^8 + y^3", 2),
+                                     ("x^2 + y^2 + z^2 + y*z^6", 3), ("x^2 + y^2 + z^2 + w^2 + w^8", 4)])
+def test_colengths_with_exponents_near_the_packing_base(monkeypatch, text, n):
+    # _colengths(f, cap) packs at base 1 << (deg f + cap).bit_length(); with
+    # deg f + cap = 2^k - 1 the base is 2^k, and a partial
+    # c*x_i + ... + c'*x_n^(deg f - 1) times the shift x_n^(cap - 2) reads
+    # the exponent deg f + cap - 3 = 2^k - 4 in the last variable, where a
+    # smaller base would carry
+    from itertools import islice
+
+    from lctlab.jacobian import _colengths
+    from lctlab.polyring import partial_derivative
+    from oracles import colengths_by_tuples
+
+    f = P(text, n)
+    d = f.total_degree()
+    orders = [(1 << k) - 1 - d for k in range(2, 7)]
+    orders = [N for N in orders if 2 <= N <= {2: 22, 3: 10, 4: 7}[n]]
+    assert orders
+    partials = [partial_derivative(f, i) for i in range(1, n + 1)]
+    offered, _ = _recording(monkeypatch)
+    for N in orders:
+        top = max(m[-1] + N - 1 - p.multiplicity() for p in partials for m in p.terms)
+        assert top == d + N - 3 == (1 << (d + N).bit_length()) - 4
+        offered.clear()
+        got = list(_colengths(f, N))
+        got_rows = list(offered)
+        offered.clear()
+        assert got == list(islice(colengths_by_tuples(f), N)), N
+        assert got_rows == offered
+        assert got[-1] == _colength_oracle(f, N)
+
+
+@pytest.mark.parametrize("text, n, cap, want", [
+    ("x^63 + y^2", 2, 64, 62),
+    ("x^64 + y^2", 2, 64, 63),
+    ("x^10 + y^10 + z^10", 3, 20, Inconclusive(20)),
+    ("x^2 + y^2", 2, 1, Inconclusive(1)),
+    ("x^2 + y^2", 2, 0, Inconclusive(0)),
+])
+def test_milnor_number_at_its_order_cap(text, n, cap, want):
+    # x^63 + y^2 settles at order 63 and x^64 + y^2 at order 64, the
+    # default cap; x^10 + y^10 + z^10 settles at order 26, past the cap
+    f = P(text, n)
+    assert milnor_number(f, order_cap=cap) == want
+    if cap == 64:
+        assert milnor_number(f) == want

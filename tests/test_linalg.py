@@ -28,7 +28,7 @@ from lctlab.linalg import (
     solve_dense,
 )
 from lctlab.polyring import monomials_below, parse_poly, partial_derivative
-from oracles import invert
+from oracles import FirstHitEliminator, invert
 
 
 def _bitlen(c) -> int:
@@ -701,3 +701,90 @@ def test_the_caller_s_rows_are_neither_written_nor_kept():
                 row[c] = 97
             row[12] = 5
         assert elim.pivots == pivots
+
+
+# ----------------------------------------------------------------------
+# pivot columns cleared in increasing order, against the first-hit reduction
+
+
+def _assert_same_elimination(new, old, targets):
+    assert list(new.pivots) == list(old.pivots) and new.pivots == old.pivots
+    assert new.leads == old.leads and new.rank == old.rank
+    for t in targets:
+        assert new.solve(t) == old.solve(t), t
+        assert new.solve_integral(t) == old.solve_integral(t), t
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_heap_reduction_agrees_with_the_first_hit_reduction(big):
+    rng = random.Random(3401 + big)
+    seen = set()
+    for _ in range(300):
+        rows, target = random_tagged_system(rng, big)
+        new, old = SparseEliminator(), FirstHitEliminator()
+        for k, row in enumerate(rows):
+            assert new.add_row(row, tag=k) == old.add_row(row, tag=k), rows
+        _assert_same_elimination(new, old, [target, {}, rows[0]])
+        if any(new._made[col][1] != old._made[col][1] for col in new.pivots):
+            seen.add("different steps")
+        seen.add("inconsistent" if new.solve(target) is None else "solved")
+    assert seen == {"different steps", "inconsistent", "solved"}
+
+
+@pytest.mark.parametrize("case", range(len(_membership_corpus())))
+def test_membership_systems_agree_with_the_first_hit_reduction(monkeypatch, case):
+    g, a, order, min_degree = _membership_corpus()[case]
+    new, old = SparseEliminator(), FirstHitEliminator()
+    column, rows = jacobian._truncated_multiples(a.nvars, a.gens, order, min_degree)
+    for gi, mono, row in rows:
+        assert new.add_row(row, tag=(gi, mono)) == old.add_row(row, tag=(gi, mono))
+    target = {column[m]: c for m, c in g.truncate(order).terms.items()}
+    _assert_same_elimination(new, old, [target, {}])
+    got = membership_truncated(g, a, order, min_degree)
+    monkeypatch.setattr(jacobian, "SparseEliminator", FirstHitEliminator)
+    want = membership_truncated(g, a, order, min_degree)
+    assert type(got) is type(want)
+    if isinstance(want, MembershipWitness):
+        assert [list(c.poly.terms.items()) for c in got.coefficients] == [
+            list(c.poly.terms.items()) for c in want.coefficients
+        ]
+
+
+@pytest.mark.parametrize("big", [False, True])
+def test_a_reduction_clears_each_pivot_column_once_in_increasing_order(monkeypatch, big):
+    # each step names a distinct column, in increasing order, whether the
+    # column was in the row from the start or brought in by an earlier step;
+    # a queued column that a step cancels is skipped, also when a later step
+    # brings it in again and it is queued twice
+    import lctlab.linalg as linalg
+
+    seen = set()
+    push = linalg.heappush
+
+    def spy(heap, col):
+        if col in heap:
+            seen.add("queued twice")
+        push(heap, col)
+
+    monkeypatch.setattr(linalg, "heappush", spy)
+    rng = random.Random(3403 + big)
+    for _ in range(300):
+        rows, target = random_tagged_system(rng, big)
+        elim = SparseEliminator()
+        for k, row in enumerate(rows):
+            elim.add_row(row, tag=k)
+        for t in rows + [target]:
+            ints, _ = _integral(t)
+            steps = []
+            elim._reduce(ints, steps)
+            cols = [col for col, _ in steps]
+            assert cols == sorted(set(cols)), (rows, t)
+            start = {col for col in ints if col in elim.pivots}
+            if start - set(cols):
+                seen.add("cancelled")
+            if set(cols) - start:
+                seen.add("brought in")
+        for _, made, _, _ in elim._made.values():
+            cols = [col for col, _ in made]
+            assert cols == sorted(set(cols)), rows
+    assert seen == {"cancelled", "brought in", "queued twice"}
